@@ -109,10 +109,11 @@ Options Parse(int argc, char** argv) {
 
 void PrintIo(const char* tag, const engine::IoStats& io) {
   std::printf(
-      "%-9s fetches %-6llu nodes %-8llu retries %-4llu failovers %-3llu "
-      "hit-rate %.2f\n",
+      "%-9s fetches %-6llu nodes %-8llu scans %-5llu retries %-4llu "
+      "failovers %-3llu hit-rate %.2f\n",
       tag, static_cast<unsigned long long>(io.fetch_requests),
       static_cast<unsigned long long>(io.nodes_fetched),
+      static_cast<unsigned long long>(io.scan_requests),
       static_cast<unsigned long long>(io.fetch_retries),
       static_cast<unsigned long long>(io.shard_failovers), io.HitRate());
   std::printf(

@@ -66,6 +66,49 @@ struct MasterState {
           static_cast<std::int32_t>(in_from_w[y]) - into_u);
     }
   }
+
+  // Recomputes every aggregate from in_u, shard-parallel like the
+  // prototype's RDD transformations: each worker scans only its own
+  // partition (free, shard-local reads) and writes only its own node ids,
+  // so no synchronization is needed. The counts are integers of the mask
+  // alone, so this lands on exactly the state Switch would have reached.
+  // Metered as one mask broadcast (a bit per node) plus a gather of the six
+  // u32 aggregates per node.
+  void Rebuild(const ShardedGraphStore& store, IoStats& io) {
+    const graph::NodeId n = store.NumNodes();
+    const std::uint32_t shards = store.NumShards();
+    for (auto* a : {&deg, &rej_in, &rej_out, &cross_friends, &in_from_w,
+                    &out_to_u}) {
+      a->resize(n);
+    }
+    store.ForEachShard([&](std::uint32_t s) {
+      for (graph::NodeId v = s; v < n; v += shards) {
+        const NodeAdjacency& a = store.Local(v);
+        std::uint32_t cross = 0;
+        std::uint32_t from_w = 0;
+        std::uint32_t to_u = 0;
+        for (graph::NodeId w : a.friends) cross += in_u[v] != in_u[w];
+        for (graph::NodeId x : a.rejectors) from_w += in_u[x] == 0;
+        for (graph::NodeId y : a.rejectees) to_u += in_u[y] != 0;
+        deg[v] = static_cast<std::uint32_t>(a.friends.size());
+        rej_in[v] = static_cast<std::uint32_t>(a.rejectors.size());
+        rej_out[v] = static_cast<std::uint32_t>(a.rejectees.size());
+        cross_friends[v] = cross;
+        in_from_w[v] = from_w;
+        out_to_u[v] = to_u;
+      }
+    });
+    cross_total = 0;
+    rin_total = 0;
+    for (graph::NodeId v = 0; v < n; ++v) {
+      if (in_u[v]) {
+        cross_total += cross_friends[v];
+        rin_total += in_from_w[v];
+      }
+    }
+    store.ChargeScan((static_cast<std::uint64_t>(n) + 7) / 8,
+                     24 * static_cast<std::uint64_t>(n), io);
+  }
 };
 
 }  // namespace
@@ -92,42 +135,8 @@ DistKlResult DistributedKl(const ShardedGraphStore& store,
 
   MasterState st;
   st.in_u = std::move(init_in_u);
-  st.deg.assign(n, 0);
-  st.rej_in.assign(n, 0);
-  st.rej_out.assign(n, 0);
-  st.cross_friends.assign(n, 0);
-  st.in_from_w.assign(n, 0);
-  st.out_to_u.assign(n, 0);
-
-  // Shard-parallel aggregate initialization (each worker scans only its own
-  // partition; writes are to disjoint node ids, so no synchronization).
-  {
-    // Adjacency reads during init happen on the workers themselves (free,
-    // shard-local), as in the prototype's RDD initialization.
-    store.ForEachShard([&](std::uint32_t s) {
-      for (graph::NodeId v = s; v < n; v += store.NumShards()) {
-        const NodeAdjacency& a = store.Local(v);
-        st.deg[v] = static_cast<std::uint32_t>(a.friends.size());
-        st.rej_in[v] = static_cast<std::uint32_t>(a.rejectors.size());
-        st.rej_out[v] = static_cast<std::uint32_t>(a.rejectees.size());
-        for (graph::NodeId w : a.friends) {
-          if (st.in_u[v] != st.in_u[w]) ++st.cross_friends[v];
-        }
-        for (graph::NodeId x : a.rejectors) {
-          if (!st.in_u[x]) ++st.in_from_w[v];
-        }
-        for (graph::NodeId y : a.rejectees) {
-          if (st.in_u[y]) ++st.out_to_u[v];
-        }
-      }
-    });
-    for (graph::NodeId v = 0; v < n; ++v) {
-      if (st.in_u[v]) {
-        st.cross_total += st.cross_friends[v];
-        st.rin_total += st.in_from_w[v];
-      }
-    }
-  }
+  IoStats scan_io;
+  st.Rebuild(store, scan_io);
 
   // Gain bound identical to detect::ExtendedKl's.
   double gain_bound = 1.0;
@@ -181,9 +190,15 @@ DistKlResult DistributedKl(const ShardedGraphStore& store,
       for (graph::NodeId w : adj.rejectees) refresh(w);
     }
 
-    for (std::size_t i = seq.size(); i > best_prefix; --i) {
-      const graph::NodeId v = seq[i - 1];
-      st.Switch(v, buffer.Get(v));
+    // Roll back by recompute: un-switch the rejected suffix in the mask
+    // only, then rebuild the aggregates from it. A pass pops every unlocked
+    // node, so the suffix is normally most of n, and one worker-local O(m)
+    // scan is far cheaper than re-fetching those rows to replay switches.
+    if (best_prefix < seq.size()) {
+      for (std::size_t i = best_prefix; i < seq.size(); ++i) {
+        st.in_u[seq[i]] = st.in_u[seq[i]] ? 0 : 1;
+      }
+      st.Rebuild(store, scan_io);
     }
     stats.switches_applied += best_prefix;
     if (best_prefix == 0) break;
@@ -200,6 +215,7 @@ DistKlResult DistributedKl(const ShardedGraphStore& store,
                           k * static_cast<double>(st.rin_total);
   result.kl.in_u = std::move(st.in_u);
   result.io = buffer.Stats();
+  result.io.Accumulate(scan_io);
   result.num_shards = store.NumShards();
   return result;
 }

@@ -5,8 +5,10 @@
 // gains, bucket list) lives on the master; adjacency lives on the workers
 // in a ShardedGraphStore and is pulled on demand through a PrefetchBuffer
 // whose prefetch candidates are the bucket list's current top-gain nodes.
-// Aggregate initialization runs shard-parallel, like the prototype's RDD
-// transformations. The result is bit-identical to detect::ExtendedKl (an
+// The aggregates are built by a shard-parallel worker-local scan, like the
+// prototype's RDD transformations, and the same scan rebuilds them when a
+// pass rolls back to its best prefix: rollback flips the mask and never
+// re-fetches a row. The result is bit-identical to detect::ExtendedKl (an
 // equivalence the tests assert); what differs is the metered I/O.
 #pragma once
 
@@ -23,8 +25,11 @@ struct DistKlResult {
   std::uint32_t num_shards = 0;
 };
 
-// The store must be built over the same graph `g` (g is only used for the
-// node count and final cut audit; adjacency flows through the store).
+// Runs extended KL from `init_in_u` over the graph held by `store`, with
+// `locked` (empty, or one flag per node) nodes never switched. Row fetches
+// go through a PrefetchBuffer sized by the cluster's buffer_capacity and
+// prefetch_batch; `io` reports them plus the aggregate scans. Throws
+// std::invalid_argument on a non-positive k or a mask of the wrong size.
 DistKlResult DistributedKl(const ShardedGraphStore& store,
                            std::vector<char> init_in_u,
                            const std::vector<char>& locked,

@@ -19,10 +19,12 @@ DistMaarResult SolveMaarDistributed(const graph::AugmentedGraph& g,
     result.io.Accumulate(r.io);
     return std::move(r.kl);
   };
-  // The sweep must stay serial here: DistributedKl drives the cluster's
-  // shared prefetch buffer and the runner above accumulates IoStats without
-  // locking. Determinism of the sweep makes the cut identical either way —
-  // on this substrate the parallelism is the simulated workers'.
+  // The sweep must stay serial here: every DistributedKl call owns its
+  // prefetch buffer, but its fetches go through ShardedGraphStore::
+  // FetchBatch, which runs only on the master thread, and the runner above
+  // accumulates IoStats without locking. Determinism of the sweep makes the
+  // cut identical either way; on this substrate the parallelism is the
+  // simulated workers'.
   detect::MaarConfig serial_config = config;
   serial_config.num_threads = 1;
   detect::MaarSolver solver(g, seeds, serial_config, runner);

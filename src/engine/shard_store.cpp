@@ -153,6 +153,8 @@ void ShardedGraphStore::FailoverShard(std::uint32_t s, IoStats& stats) const {
   }
   // Lineage recompute: the replacement worker rebuilds the partition from
   // the source graph, so the replica is bit-identical to what was lost.
+  // (Without degraded mode the throw above leaves the partition intact, so
+  // a caller that catches it can fetch again once the fault clears.)
   BuildShard(s);
   replica_[s] = 1;
   ++stats.shard_failovers;
@@ -237,7 +239,6 @@ void ShardedGraphStore::ResolveShardFetch(std::uint32_t s,
       // The worker died; its in-memory partition is gone. Every store this
       // cluster builds from now on sees the death.
       if (cluster_ != nullptr) cluster_->KillWorker(s);
-      shards_[s].nodes.clear();
       FailoverShard(s, stats);
       return;
     }
@@ -245,7 +246,6 @@ void ShardedGraphStore::ResolveShardFetch(std::uint32_t s,
     // The master burns the attempt's timeout discovering the failure.
     stats.simulated_network_us += policy_.attempt_timeout_us;
     if (attempt >= policy_.max_attempts) {
-      shards_[s].nodes.clear();
       FailoverShard(s, stats);
       return;
     }
@@ -258,20 +258,26 @@ void ShardedGraphStore::ResolveShardFetch(std::uint32_t s,
 void ShardedGraphStore::ServeLocally(
     std::uint32_t s, std::span<const graph::NodeId> nodes,
     const std::vector<std::size_t>& positions,
-    std::vector<NodeAdjacency>& out) const {
+    std::span<NodeAdjacency* const> out) const {
   for (std::size_t i : positions) {
-    out[i] = shards_[s].nodes[nodes[i] / NumShards()];
+    *out[i] = shards_[s].nodes[nodes[i] / NumShards()];
   }
 }
 
 void ShardedGraphStore::ResolveWireFetch(
     std::uint32_t s, std::span<const graph::NodeId> nodes,
-    const std::vector<std::size_t>& positions, std::vector<NodeAdjacency>& out,
-    IoStats& stats) const {
+    const std::vector<std::size_t>& positions,
+    std::span<NodeAdjacency* const> out, IoStats& stats) const {
   util::Failpoints& fp = util::Failpoints::Instance();
-  std::vector<graph::NodeId> ids;
-  ids.reserve(positions.size());
-  for (std::size_t i : positions) ids.push_back(nodes[i]);
+  wire_ids_.clear();
+  wire_rows_.clear();
+  for (std::size_t i : positions) {
+    wire_ids_.push_back(nodes[i]);
+    wire_rows_.push_back(out[i]);
+  }
+  net::Message& req = wire_request_;
+  req.type = net::MsgType::kFetchRequest;
+  wire::EncodeFetchRequest(store_id_, wire_ids_, req.body);
 
   const net::TransportStats before = transport_->Stats();
   bool served = false;
@@ -281,7 +287,6 @@ void ShardedGraphStore::ResolveWireFetch(
     // crash/flaky scenarios drive every backend.
     if (fp.ShouldFail("engine/worker_crash")) {
       if (cluster_ != nullptr) cluster_->KillWorker(s);
-      shards_[s].nodes.clear();
       FailoverShard(s, stats);
       break;
     }
@@ -292,10 +297,7 @@ void ShardedGraphStore::ResolveWireFetch(
       failed = true;
       stats.simulated_network_us += policy_.attempt_timeout_us;
     } else {
-      net::Message req;
-      req.type = net::MsgType::kFetchRequest;
       req.request_id = transport_->NextRequestId();
-      wire::EncodeFetchRequest(store_id_, ids, req.body);
       net::Message resp;
       double elapsed = 0.0;
       const net::CallStatus st = transport_->Call(
@@ -306,12 +308,10 @@ void ShardedGraphStore::ResolveWireFetch(
       if (st == net::CallStatus::kOk &&
           resp.type == net::MsgType::kFetchResponse) {
         try {
-          wire::FetchResponse fr = wire::DecodeFetchResponse(resp.body);
-          if (fr.store_id == store_id_ && fr.rows.size() == ids.size()) {
+          if (wire::DecodeFetchResponse(resp.body, store_id_, wire_rows_)) {
             std::uint64_t bytes = 0;
-            for (std::size_t k = 0; k < positions.size(); ++k) {
-              bytes += fr.rows[k].WireBytes();
-              out[positions[k]] = std::move(fr.rows[k]);
+            for (const NodeAdjacency* row : wire_rows_) {
+              bytes += row->WireBytes();
             }
             ++stats.fetch_requests;
             stats.bytes_transferred += bytes;
@@ -365,8 +365,25 @@ void ShardedGraphStore::ResolveWireFetch(
 
 std::vector<NodeAdjacency> ShardedGraphStore::FetchBatch(
     std::span<const graph::NodeId> nodes, IoStats& stats) const {
+  std::vector<NodeAdjacency> rows(nodes.size());
+  std::vector<NodeAdjacency*> out;
+  out.reserve(rows.size());
+  for (NodeAdjacency& row : rows) out.push_back(&row);
+  FetchInto(nodes, out, stats);
+  return rows;
+}
+
+void ShardedGraphStore::FetchInto(std::span<const graph::NodeId> nodes,
+                                  std::span<NodeAdjacency* const> out,
+                                  IoStats& stats) const {
+  if (out.size() != nodes.size()) {
+    throw std::invalid_argument(
+        "ShardedGraphStore::FetchInto: one output row per node");
+  }
   const std::uint32_t num_shards = NumShards();
-  std::vector<std::vector<std::size_t>> by_shard(num_shards);
+  std::vector<std::vector<std::size_t>>& by_shard = by_shard_;
+  by_shard.resize(num_shards);
+  for (auto& positions : by_shard) positions.clear();
   for (std::size_t i = 0; i < nodes.size(); ++i) {
     if (nodes[i] >= num_nodes_) {
       throw std::out_of_range("ShardedGraphStore::FetchBatch: node id");
@@ -379,7 +396,6 @@ std::vector<NodeAdjacency> ShardedGraphStore::FetchBatch(
     // master thread in increasing shard order — the same deterministic
     // order the loopback path resolves faults in, which is why the pool
     // size cannot perturb the wire schedule.
-    std::vector<NodeAdjacency> out(nodes.size());
     for (std::uint32_t s = 0; s < num_shards; ++s) {
       if (by_shard[s].empty()) continue;
       if (replica_[s] != 0) {
@@ -389,7 +405,7 @@ std::vector<NodeAdjacency> ShardedGraphStore::FetchBatch(
       }
     }
     stats.nodes_fetched += nodes.size();
-    return out;
+    return;
   }
 
   // Phase 1 (master thread, increasing shard order — deterministic fault
@@ -400,15 +416,14 @@ std::vector<NodeAdjacency> ShardedGraphStore::FetchBatch(
   }
 
   // Phase 2: the surviving per-shard lookups fly in parallel on the pool.
-  std::vector<NodeAdjacency> out(nodes.size());
   std::vector<std::future<std::uint64_t>> futs;
   for (std::uint32_t s = 0; s < num_shards; ++s) {
     if (by_shard[s].empty()) continue;
     futs.push_back(pool_->Submit([this, s, &by_shard, &nodes, &out]() {
       std::uint64_t bytes = 0;
       for (std::size_t i : by_shard[s]) {
-        out[i] = shards_[s].nodes[nodes[i] / NumShards()];
-        bytes += out[i].WireBytes();
+        *out[i] = shards_[s].nodes[nodes[i] / NumShards()];
+        bytes += out[i]->WireBytes();
       }
       return bytes;
     }));
@@ -428,13 +443,21 @@ std::vector<NodeAdjacency> ShardedGraphStore::FetchBatch(
     stats.simulated_network_us +=
         network_.MicrosFor(1, batch_bytes);
   }
-  return out;
 }
 
 void ShardedGraphStore::ForEachShard(
     const std::function<void(std::uint32_t)>& fn) const {
   pool_->ParallelFor(NumShards(),
                      [&](std::size_t s) { fn(static_cast<std::uint32_t>(s)); });
+}
+
+void ShardedGraphStore::ChargeScan(std::uint64_t broadcast_bytes,
+                                   std::uint64_t gather_bytes,
+                                   IoStats& stats) const {
+  const std::uint64_t bytes = broadcast_bytes * NumShards() + gather_bytes;
+  stats.scan_requests += NumShards();
+  stats.bytes_transferred += bytes;
+  stats.simulated_network_us += network_.MicrosFor(1, bytes);
 }
 
 }  // namespace rejecto::engine

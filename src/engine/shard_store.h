@@ -101,6 +101,10 @@ struct IoStats {
   std::uint64_t bytes_transferred = 0;
   std::uint64_t cache_hits = 0;      // served from the prefetch buffer
   std::uint64_t cache_misses = 0;
+  // Shard round trips of aggregate scans (ChargeScan): a mask broadcast out
+  // and an aggregate gather back, one per shard per scan. Not included in
+  // fetch_requests.
+  std::uint64_t scan_requests = 0;
   std::uint64_t fetch_retries = 0;   // shard RPC attempts repeated
   std::uint64_t shard_failovers = 0; // partitions rebuilt from lineage
   double simulated_network_us = 0.0;  // NetworkModel / simnet virtual time
@@ -124,6 +128,7 @@ struct IoStats {
     bytes_transferred += o.bytes_transferred;
     cache_hits += o.cache_hits;
     cache_misses += o.cache_misses;
+    scan_requests += o.scan_requests;
     fetch_retries += o.fetch_retries;
     shard_failovers += o.shard_failovers;
     simulated_network_us += o.simulated_network_us;
@@ -177,11 +182,26 @@ class ShardedGraphStore {
   std::vector<NodeAdjacency> FetchBatch(std::span<const graph::NodeId> nodes,
                                         IoStats& stats) const;
 
+  // FetchBatch into caller-owned rows: *out[i] receives nodes[i]'s
+  // adjacency, reusing its vectors' capacity (wire responses decode straight
+  // into them). Same requests, metering and failure handling. If it throws,
+  // the rows' contents are unspecified.
+  void FetchInto(std::span<const graph::NodeId> nodes,
+                 std::span<NodeAdjacency* const> out, IoStats& stats) const;
+
   // Runs fn(shard_index) for every shard on the worker pool and waits —
   // the analogue of a Spark transformation over all partitions. (On wire
   // backends this worker-local compute still executes in-process; only the
   // fetch/update RPC boundary crosses the transport. See DESIGN.md.)
   void ForEachShard(const std::function<void(std::uint32_t)>& fn) const;
+
+  // Meters one ForEachShard scan whose master broadcasts `broadcast_bytes`
+  // to every shard and gathers `gather_bytes` back in total: one
+  // scan_request per shard, the bytes, and one NetworkModel round trip (the
+  // shards answer in parallel, as in a loopback FetchBatch). Nothing crosses
+  // the transport; this only charges the traffic a deployment would pay.
+  void ChargeScan(std::uint64_t broadcast_bytes, std::uint64_t gather_bytes,
+                  IoStats& stats) const;
 
   // Worker-local access to a node's adjacency — no simulated network I/O.
   // Only call for nodes of the shard the caller is processing (inside a
@@ -227,11 +247,11 @@ class ShardedGraphStore {
   void ResolveWireFetch(std::uint32_t s,
                         std::span<const graph::NodeId> nodes,
                         const std::vector<std::size_t>& positions,
-                        std::vector<NodeAdjacency>& out,
+                        std::span<NodeAdjacency* const> out,
                         IoStats& stats) const;
   void ServeLocally(std::uint32_t s, std::span<const graph::NodeId> nodes,
                     const std::vector<std::size_t>& positions,
-                    std::vector<NodeAdjacency>& out) const;
+                    std::span<NodeAdjacency* const> out) const;
   // Pushes shard s to its worker (wire backends); returns false when the
   // shard had to fail over (or throws without degraded mode).
   bool PublishShard(std::uint32_t s);
@@ -243,6 +263,12 @@ class ShardedGraphStore {
   mutable std::vector<Shard> shards_;
   mutable std::vector<char> replica_;
   mutable std::uint64_t failovers_ = 0;
+  // FetchInto scratch, reused across calls (master thread only): request
+  // positions per shard, one shard's ids and rows, and the request message.
+  mutable std::vector<std::vector<std::size_t>> by_shard_;
+  mutable std::vector<graph::NodeId> wire_ids_;
+  mutable std::vector<NodeAdjacency*> wire_rows_;
+  mutable net::Message wire_request_;
   util::ThreadPool* pool_;
   Cluster* cluster_ = nullptr;  // worker-death tracking; may be null
   net::Transport* transport_ = nullptr;  // null = loopback

@@ -5,39 +5,34 @@
 namespace rejecto::engine::wire {
 namespace {
 
-void PutIds(net::WireWriter& w, const std::vector<graph::NodeId>& ids) {
-  for (graph::NodeId id : ids) w.PutU32(id);
-}
-
 void PutRow(net::WireWriter& w, const NodeAdjacency& row) {
   w.PutU32(static_cast<std::uint32_t>(row.friends.size()));
   w.PutU32(static_cast<std::uint32_t>(row.rejectors.size()));
   w.PutU32(static_cast<std::uint32_t>(row.rejectees.size()));
-  PutIds(w, row.friends);
-  PutIds(w, row.rejectors);
-  PutIds(w, row.rejectees);
+  w.PutU32s(row.friends);
+  w.PutU32s(row.rejectors);
+  w.PutU32s(row.rejectees);
 }
 
+// Replaces `out` with `count` ids, reusing its capacity.
 void GetIds(net::WireReader& r, std::uint32_t count,
             std::vector<graph::NodeId>& out) {
-  // A corrupt count would otherwise reserve gigabytes before the reader
+  // A corrupt count would otherwise allocate gigabytes before the reader
   // notices the body is short; each id is 4 bytes, so bound by Remaining.
   if (r.Remaining() < 4ull * count) {
     throw std::runtime_error("engine::wire: id list past end of body");
   }
-  out.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) out.push_back(r.GetU32());
+  out.resize(count);
+  r.GetU32s(out);
 }
 
-NodeAdjacency GetRow(net::WireReader& r) {
+void GetRowInto(net::WireReader& r, NodeAdjacency& row) {
   const std::uint32_t nf = r.GetU32();
   const std::uint32_t nri = r.GetU32();
   const std::uint32_t nro = r.GetU32();
-  NodeAdjacency row;
   GetIds(r, nf, row.friends);
   GetIds(r, nri, row.rejectors);
   GetIds(r, nro, row.rejectees);
-  return row;
 }
 
 void ExpectDrained(const net::WireReader& r, const char* what) {
@@ -57,7 +52,7 @@ void EncodeFetchRequest(std::uint64_t store_id,
   w.buf.clear();
   w.PutU64(store_id);
   w.PutU32(static_cast<std::uint32_t>(ids.size()));
-  for (graph::NodeId id : ids) w.PutU32(id);
+  w.PutU32s(ids);
   body.swap(w.buf);
 }
 
@@ -77,21 +72,23 @@ void EncodeFetchResponse(std::uint64_t store_id,
   net::WireWriter w;
   w.buf.swap(body);
   w.buf.clear();
+  std::size_t bytes = 12;
+  for (const NodeAdjacency* row : rows) bytes += row->WireBytes();
+  w.buf.reserve(bytes);
   w.PutU64(store_id);
   w.PutU32(static_cast<std::uint32_t>(rows.size()));
   for (const NodeAdjacency* row : rows) PutRow(w, *row);
   body.swap(w.buf);
 }
 
-FetchResponse DecodeFetchResponse(std::span<const unsigned char> body) {
+bool DecodeFetchResponse(std::span<const unsigned char> body,
+                         std::uint64_t store_id,
+                         std::span<NodeAdjacency* const> rows) {
   net::WireReader r(body);
-  FetchResponse resp;
-  resp.store_id = r.GetU64();
-  const std::uint32_t count = r.GetU32();
-  resp.rows.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) resp.rows.push_back(GetRow(r));
+  if (r.GetU64() != store_id || r.GetU32() != rows.size()) return false;
+  for (NodeAdjacency* row : rows) GetRowInto(r, *row);
   ExpectDrained(r, "fetch_response");
-  return resp;
+  return true;
 }
 
 void EncodeBuildShard(const BuildShard& b, std::vector<unsigned char>& body) {
@@ -120,8 +117,12 @@ BuildShard DecodeBuildShard(std::span<const unsigned char> body) {
         " of " + std::to_string(b.num_shards));
   }
   const std::uint32_t count = r.GetU32();
-  b.rows.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) b.rows.push_back(GetRow(r));
+  // Every row is at least its three counts; bound before allocating.
+  if (r.Remaining() / 12 < count) {
+    throw std::runtime_error("engine::wire: build_shard rows past end of body");
+  }
+  b.rows.resize(count);
+  for (NodeAdjacency& row : b.rows) GetRowInto(r, row);
   ExpectDrained(r, "build_shard");
   return b;
 }

@@ -45,15 +45,17 @@ void EncodeFetchRequest(std::uint64_t store_id,
                         std::vector<unsigned char>& body);
 FetchRequest DecodeFetchRequest(std::span<const unsigned char> body);
 
-struct FetchResponse {
-  std::uint64_t store_id = 0;
-  std::vector<NodeAdjacency> rows;  // aligned with the request's ids
-};
-
 void EncodeFetchResponse(std::uint64_t store_id,
                          std::span<const NodeAdjacency* const> rows,
                          std::vector<unsigned char>& body);
-FetchResponse DecodeFetchResponse(std::span<const unsigned char> body);
+// Decodes the response's rows straight into `rows` (aligned with the
+// request's ids), reusing each row's capacity. Returns false, writing
+// nothing, when the body answers another store generation or carries a
+// different row count; throws on a malformed body, possibly after some rows
+// were overwritten.
+bool DecodeFetchResponse(std::span<const unsigned char> body,
+                         std::uint64_t store_id,
+                         std::span<NodeAdjacency* const> rows);
 
 // ---- shard push (the "update" message of the batched fetch/update
 // protocol: the master distributes a rebuilt store's partitions) ----

@@ -1,5 +1,6 @@
 #include "net/frame.h"
 
+#include <bit>
 #include <cstring>
 #include <stdexcept>
 
@@ -46,6 +47,21 @@ void WireWriter::PutString(std::string_view s) {
   buf.insert(buf.end(), s.begin(), s.end());
 }
 
+void WireWriter::PutU32s(std::span<const std::uint32_t> values) {
+  const std::size_t at = buf.size();
+  buf.resize(at + 4 * values.size());
+  unsigned char* p = buf.data() + at;
+  if constexpr (std::endian::native == std::endian::little) {
+    if (!values.empty()) std::memcpy(p, values.data(), 4 * values.size());
+  } else {
+    for (std::uint32_t v : values) {
+      for (int i = 0; i < 4; ++i) {
+        *p++ = static_cast<unsigned char>((v >> (8 * i)) & 0xff);
+      }
+    }
+  }
+}
+
 std::uint8_t WireReader::GetU8() {
   if (Remaining() < 1) {
     throw std::runtime_error("net::WireReader: read past end of body");
@@ -69,6 +85,19 @@ std::uint64_t WireReader::GetU64() {
   const std::uint64_t v = ReadU64Le(data_ + pos_);
   pos_ += 8;
   return v;
+}
+
+void WireReader::GetU32s(std::span<std::uint32_t> out) {
+  if (Remaining() / 4 < out.size()) {
+    throw std::runtime_error("net::WireReader: u32 array past end of body");
+  }
+  const unsigned char* p = data_ + pos_;
+  if constexpr (std::endian::native == std::endian::little) {
+    if (!out.empty()) std::memcpy(out.data(), p, 4 * out.size());
+  } else {
+    for (std::size_t i = 0; i < out.size(); ++i) out[i] = ReadU32Le(p + 4 * i);
+  }
+  pos_ += 4 * out.size();
 }
 
 std::string WireReader::GetString() {

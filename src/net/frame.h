@@ -76,6 +76,9 @@ struct WireWriter {
     }
   }
   void PutString(std::string_view s);
+  // Appends the values as little-endian u32s: one bulk copy on
+  // little-endian hosts, byte by byte elsewhere.
+  void PutU32s(std::span<const std::uint32_t> values);
 };
 
 // Throws std::runtime_error on reads past the end: a malformed body that
@@ -91,6 +94,9 @@ class WireReader {
   std::uint32_t GetU32();
   std::uint64_t GetU64();
   std::string GetString();
+  // Fills `out` with the next out.size() little-endian u32s; throws before
+  // copying anything when the body holds fewer.
+  void GetU32s(std::span<std::uint32_t> out);
   std::size_t Remaining() const noexcept { return size_ - pos_; }
 
  private:

@@ -1,6 +1,13 @@
 #include "util/crc32c.h"
 
 #include <array>
+#include <cstring>
+
+#if defined(__x86_64__)
+#include <nmmintrin.h>
+#endif
+
+#include "util/simd.h"
 
 namespace rejecto::util {
 
@@ -29,11 +36,9 @@ struct Tables {
 
 constexpr Tables kTables{};
 
-}  // namespace
-
-std::uint32_t Crc32c(const void* data, std::size_t len, std::uint32_t crc) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  crc = ~crc;
+// Both bodies take and return the inverted register.
+std::uint32_t Crc32cTable(const unsigned char* p, std::size_t len,
+                          std::uint32_t crc) {
   while (len >= 8) {
     crc ^= static_cast<std::uint32_t>(p[0]) |
            (static_cast<std::uint32_t>(p[1]) << 8) |
@@ -49,7 +54,41 @@ std::uint32_t Crc32c(const void* data, std::size_t len, std::uint32_t crc) {
   while (len-- > 0) {
     crc = (crc >> 8) ^ kTables.t[0][(crc ^ *p++) & 0xff];
   }
-  return ~crc;
+  return crc;
+}
+
+#if defined(__x86_64__)
+
+__attribute__((target("sse4.2"))) std::uint32_t Crc32cSse42(
+    const unsigned char* p, std::size_t len, std::uint32_t crc) {
+  std::uint64_t c = crc;
+  while (len >= 8) {
+    std::uint64_t word;
+    std::memcpy(&word, p, sizeof(word));  // x86 is little-endian
+    c = _mm_crc32_u64(c, word);
+    p += 8;
+    len -= 8;
+  }
+  crc = static_cast<std::uint32_t>(c);
+  while (len-- > 0) crc = _mm_crc32_u8(crc, *p++);
+  return crc;
+}
+
+bool UseSse42() {
+  static const bool supported = __builtin_cpu_supports("sse4.2") != 0;
+  return supported && simd::ActiveMode() == simd::SimdMode::kAvx2;
+}
+
+#endif  // __x86_64__
+
+}  // namespace
+
+std::uint32_t Crc32c(const void* data, std::size_t len, std::uint32_t crc) {
+  const auto* p = static_cast<const unsigned char*>(data);
+#if defined(__x86_64__)
+  if (UseSse42()) return ~Crc32cSse42(p, len, ~crc);
+#endif
+  return ~Crc32cTable(p, len, ~crc);
 }
 
 }  // namespace rejecto::util

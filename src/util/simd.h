@@ -13,6 +13,7 @@
 // All primitives are bit-identical across modes: they compute exact integer
 // counts and copies, never reassociated floating point. Tests pin this
 // (tests/simd_kernel_test.cpp) and the kernel benches abort on divergence.
+// util::Crc32c follows the same mode: its SSE4.2 body runs under AVX2 mode.
 //
 // Addressing contract: the AVX2 paths gather 4 bytes at byte-granularity
 // addresses (scale-1 gathers), so `mask`/`keep` buffers must have at least

@@ -14,6 +14,7 @@
 #include "detect/iterative.h"
 #include "engine/cluster.h"
 #include "engine/dist_detector.h"
+#include "engine/prefetch.h"
 #include "engine/shard_store.h"
 #include "gen/erdos_renyi.h"
 #include "graph/builder.h"
@@ -112,6 +113,37 @@ TEST(FetchFaultTest, ExhaustionWithoutDegradedModeThrows) {
   util::ScopedFailpoint down("engine/fetch_shard",
                              util::FailpointPolicy::EveryNth(1));
   EXPECT_THROW(store.FetchBatch(ids, stats), std::runtime_error);
+}
+
+TEST(FetchFaultTest, FailedPrefetchBatchLeavesNothingCached) {
+  util::Rng rng(25);
+  const auto g = SmallAugmented(rng);
+  util::ThreadPool pool(2);
+  const FetchPolicy policy{.max_attempts = 2, .degraded_mode = false};
+  const ShardedGraphStore store(g, 2, pool, {}, policy);
+  PrefetchBuffer buf(store, 8, 4);
+  const auto candidates = [](std::size_t, std::vector<graph::NodeId>& out) {
+    out.push_back(1);
+    out.push_back(2);
+  };
+  buf.Get(5);
+  {
+    util::ScopedFailpoint down("engine/fetch_shard",
+                               util::FailpointPolicy::EveryNth(1));
+    EXPECT_THROW(buf.Get(0, candidates), std::runtime_error);
+  }
+  // The failed batch's slots went back empty: only the earlier row stays
+  // cached, and the same batch is fetched afresh once the fault clears.
+  EXPECT_EQ(buf.CachedNodes(), 1u);
+  const NodeAdjacency& a = buf.Get(0, candidates);
+  const auto fr = g.Friendships().Neighbors(0);
+  EXPECT_TRUE(std::ranges::equal(a.friends, fr));
+  EXPECT_EQ(buf.CachedNodes(), 4u);
+  buf.Get(1);
+  buf.Get(2);
+  buf.Get(5);
+  EXPECT_EQ(buf.Stats().cache_hits, 3u);
+  EXPECT_EQ(buf.Stats().cache_misses, 3u);
 }
 
 // ---------- Worker death / failover ----------

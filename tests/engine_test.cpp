@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+#include <stdexcept>
 #include <tuple>
+#include <utility>
 
 #include "detect/extended_kl.h"
 #include "engine/cluster.h"
@@ -9,6 +13,7 @@
 #include "engine/dist_maar.h"
 #include "engine/prefetch.h"
 #include "engine/shard_store.h"
+#include "engine/wire.h"
 #include "gen/erdos_renyi.h"
 #include "graph/builder.h"
 #include "sim/scenario.h"
@@ -197,30 +202,159 @@ TEST(PrefetchTest, InvalidConfigThrows) {
   EXPECT_THROW(PrefetchBuffer(store, 4, 8), std::invalid_argument);
 }
 
+TEST(PrefetchTest, MissedNodeRanksAheadOfItsCandidates) {
+  util::Rng rng(11);
+  const auto g = SmallAugmented(rng);
+  util::ThreadPool pool(2);
+  const ShardedGraphStore store(g, 2, pool);
+  PrefetchBuffer buf(store, 3, 3);
+  buf.Get(0, [](std::size_t, std::vector<graph::NodeId>& out) {
+    out.push_back(1);
+    out.push_back(2);
+  });
+  EXPECT_EQ(buf.CachedNodes(), 3u);
+  // LRU order is now [0, 1, 2]: the next miss evicts the last candidate.
+  buf.Get(3);
+  buf.Get(0);
+  buf.Get(1);
+  EXPECT_EQ(buf.Stats().cache_hits, 2u);
+  buf.Get(2);
+  EXPECT_EQ(buf.Stats().cache_misses, 3u);
+  EXPECT_EQ(buf.CachedNodes(), 3u);
+}
+
+TEST(PrefetchTest, RowsMatchTheGraphAcrossSlotReuse) {
+  util::Rng rng(12);
+  const auto g = SmallAugmented(rng);
+  util::ThreadPool pool(2);
+  const ShardedGraphStore store(g, 3, pool);
+  PrefetchBuffer buf(store, 4, 2);
+  // Cycling every node through four slots reuses each slot many times, so
+  // rows of different lengths land in storage that held other rows.
+  for (int round = 0; round < 3; ++round) {
+    for (graph::NodeId v = 0; v < g.NumNodes(); ++v) {
+      const NodeAdjacency& a =
+          buf.Get(v, [&](std::size_t, std::vector<graph::NodeId>& out) {
+            out.push_back((v * 7 + 3) % g.NumNodes());
+          });
+      const auto fr = g.Friendships().Neighbors(v);
+      const auto rin = g.Rejections().Rejectors(v);
+      const auto rout = g.Rejections().Rejectees(v);
+      ASSERT_TRUE(std::ranges::equal(a.friends, fr)) << "node " << v;
+      ASSERT_TRUE(std::ranges::equal(a.rejectors, rin)) << "node " << v;
+      ASSERT_TRUE(std::ranges::equal(a.rejectees, rout)) << "node " << v;
+    }
+  }
+  EXPECT_LE(buf.CachedNodes(), 4u);
+}
+
+TEST(PrefetchTest, CapacityAboveNodeCountNeverEvicts) {
+  util::Rng rng(13);
+  const auto g = SmallAugmented(rng, 20);
+  util::ThreadPool pool(2);
+  const ShardedGraphStore store(g, 2, pool);
+  PrefetchBuffer buf(store, 1000, 1);
+  for (graph::NodeId v = 0; v < g.NumNodes(); ++v) buf.Get(v);
+  for (graph::NodeId v = 0; v < g.NumNodes(); ++v) buf.Get(v);
+  EXPECT_EQ(buf.Stats().cache_misses, g.NumNodes());
+  EXPECT_EQ(buf.Stats().cache_hits, g.NumNodes());
+  EXPECT_EQ(buf.CachedNodes(), g.NumNodes());
+}
+
+TEST(PrefetchTest, OutOfRangeIdsThrowOrAreSkipped) {
+  util::Rng rng(14);
+  const auto g = SmallAugmented(rng);
+  util::ThreadPool pool(2);
+  const ShardedGraphStore store(g, 2, pool);
+  PrefetchBuffer buf(store, 16, 4);
+  EXPECT_THROW(buf.Get(g.NumNodes()), std::out_of_range);
+  // A candidate is only a hint: an id outside the store is dropped.
+  buf.Get(0, [&](std::size_t, std::vector<graph::NodeId>& out) {
+    out.push_back(g.NumNodes() + 5);
+    out.push_back(1);
+  });
+  EXPECT_EQ(buf.Stats().nodes_fetched, 2u);
+}
+
+// ---------- Wire codec ----------
+
+TEST(WireCodecTest, FetchResponseDecodesIntoReusedRows) {
+  util::Rng rng(15);
+  const auto g = SmallAugmented(rng);
+  util::ThreadPool pool(2);
+  const ShardedGraphStore store(g, 1, pool);
+  const NodeAdjacency* sent[3] = {&store.Local(4), &store.Local(0),
+                                  &store.Local(9)};
+  std::vector<unsigned char> body;
+  wire::EncodeFetchResponse(77, sent, body);
+
+  // Stale contents and capacity in the targets must not leak through.
+  std::vector<NodeAdjacency> rows(3);
+  for (auto& row : rows) row.friends.assign(500, 123);
+  NodeAdjacency* out[3] = {&rows[0], &rows[1], &rows[2]};
+  ASSERT_TRUE(wire::DecodeFetchResponse(body, 77, out));
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(rows[i].friends, sent[i]->friends);
+    EXPECT_EQ(rows[i].rejectors, sent[i]->rejectors);
+    EXPECT_EQ(rows[i].rejectees, sent[i]->rejectees);
+  }
+  // Another generation or a different row count is refused untouched.
+  EXPECT_FALSE(wire::DecodeFetchResponse(body, 78, out));
+  EXPECT_FALSE(wire::DecodeFetchResponse(body, 77, std::span(out, 2)));
+  EXPECT_EQ(rows[0].friends, sent[0]->friends);
+}
+
+TEST(WireCodecTest, FetchResponseRejectsEveryTruncationAndTrailingByte) {
+  util::Rng rng(16);
+  const auto g = SmallAugmented(rng);
+  util::ThreadPool pool(2);
+  const ShardedGraphStore store(g, 1, pool);
+  const NodeAdjacency* sent[2] = {&store.Local(2), &store.Local(3)};
+  std::vector<unsigned char> body;
+  wire::EncodeFetchResponse(5, sent, body);
+  std::vector<NodeAdjacency> rows(2);
+  NodeAdjacency* out[2] = {&rows[0], &rows[1]};
+  for (std::size_t len = 0; len < body.size(); ++len) {
+    EXPECT_THROW(wire::DecodeFetchResponse(std::span(body.data(), len), 5,
+                                           out),
+                 std::runtime_error)
+        << "cut at " << len;
+  }
+  body.push_back(0);
+  EXPECT_THROW(wire::DecodeFetchResponse(body, 5, out), std::runtime_error);
+}
+
+TEST(WireCodecTest, FetchRequestRoundTripsAndBoundsTheCount) {
+  const graph::NodeId ids[4] = {9, 0, 4000000000u, 17};
+  std::vector<unsigned char> body;
+  wire::EncodeFetchRequest(3, ids, body);
+  const wire::FetchRequest req = wire::DecodeFetchRequest(body);
+  EXPECT_EQ(req.store_id, 3u);
+  EXPECT_TRUE(std::ranges::equal(req.ids, ids));
+  // A count claiming more ids than the body holds is refused up front.
+  body[8] = 0xff;
+  body[9] = 0xff;
+  EXPECT_THROW(wire::DecodeFetchRequest(body), std::runtime_error);
+}
+
 // ---------- DistributedKl equivalence ----------
 
-class DistKlEquivalenceTest
-    : public ::testing::TestWithParam<std::tuple<std::uint32_t, double>> {};
+// Prefetch batch and buffer capacity of the master's PrefetchBuffer.
+using BufferShape = std::pair<std::size_t, std::size_t>;
 
-TEST_P(DistKlEquivalenceTest, BitIdenticalToSerialKl) {
-  const auto [shards, k] = GetParam();
-  util::Rng rng(42 + shards);
-  const auto g = SmallAugmented(rng, 120);
-  std::vector<char> init(g.NumNodes(), 0);
-  for (graph::NodeId v = 0; v < g.NumNodes(); ++v) {
-    init[v] = g.Rejections().InDegree(v) > 0 ? 1 : 0;
-  }
-  std::vector<char> locked(g.NumNodes(), 0);
-  locked[0] = 1;
-  locked[5] = 1;
-
-  const detect::KlConfig cfg{.k = k};
+// Runs DistributedKl under `shape` and asserts it matches detect::ExtendedKl
+// bit for bit; returns the distributed result for further checks.
+DistKlResult ExpectMatchesSerial(const graph::AugmentedGraph& g,
+                                 const std::vector<char>& init,
+                                 const std::vector<char>& locked,
+                                 const detect::KlConfig& cfg,
+                                 std::uint32_t shards, BufferShape shape) {
   const auto serial = detect::ExtendedKl(g, init, locked, cfg);
-
-  Cluster cluster(
-      {.num_workers = shards, .prefetch_batch = 8, .buffer_capacity = 64});
+  Cluster cluster({.num_workers = shards,
+                   .prefetch_batch = shape.first,
+                   .buffer_capacity = shape.second});
   const ShardedGraphStore store(g, shards, cluster.Pool());
-  const auto dist = DistributedKl(store, init, locked, cfg, cluster);
+  DistKlResult dist = DistributedKl(store, init, locked, cfg, cluster);
 
   EXPECT_EQ(dist.kl.in_u, serial.in_u);
   EXPECT_EQ(dist.kl.cut.cross_friendships, serial.cut.cross_friendships);
@@ -230,21 +364,133 @@ TEST_P(DistKlEquivalenceTest, BitIdenticalToSerialKl) {
   EXPECT_EQ(dist.kl.stats.switches_applied, serial.stats.switches_applied);
   EXPECT_DOUBLE_EQ(dist.kl.stats.final_objective,
                    serial.stats.final_objective);
-  EXPECT_GT(dist.io.nodes_fetched, 0u);
+  return dist;
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    ShardAndK, DistKlEquivalenceTest,
-    ::testing::Combine(::testing::Values(1u, 2u, 3u, 5u),
-                       ::testing::Values(0.25, 1.0, 4.0)));
-
-TEST(DistKlTest, PrefetchingReducesFetchRequests) {
-  util::Rng rng(77);
-  const auto g = SmallAugmented(rng, 150);
+std::vector<char> RejectedInit(const graph::AugmentedGraph& g) {
   std::vector<char> init(g.NumNodes(), 0);
   for (graph::NodeId v = 0; v < g.NumNodes(); ++v) {
     init[v] = g.Rejections().InDegree(v) > 0 ? 1 : 0;
   }
+  return init;
+}
+
+class DistKlEquivalenceTest
+    : public ::testing::TestWithParam<
+          std::tuple<std::uint32_t, double, BufferShape>> {};
+
+TEST_P(DistKlEquivalenceTest, BitIdenticalToSerialKl) {
+  const auto [shards, k, shape] = GetParam();
+  util::Rng rng(42 + shards);
+  const auto g = SmallAugmented(rng, 120);
+  std::vector<char> locked(g.NumNodes(), 0);
+  locked[0] = 1;
+  locked[5] = 1;
+  const auto dist = ExpectMatchesSerial(g, RejectedInit(g), locked,
+                                        detect::KlConfig{.k = k}, shards,
+                                        shape);
+  EXPECT_GT(dist.io.nodes_fetched, 0u);
+}
+
+// A pass that keeps no prefix: KL restarted from its own converged mask
+// replays its final pass, which found no improving prefix.
+TEST_P(DistKlEquivalenceTest, PassKeepingNoPrefix) {
+  const auto [shards, k, shape] = GetParam();
+  util::Rng rng(142 + shards);
+  const auto g = SmallAugmented(rng, 120);
+  const std::vector<char> locked;
+  const detect::KlConfig cfg{.k = k};
+  const auto converged = detect::ExtendedKl(g, RejectedInit(g), locked, cfg);
+  ASSERT_LT(converged.stats.passes, cfg.max_passes);
+  const auto serial = detect::ExtendedKl(g, converged.in_u, locked, cfg);
+  ASSERT_EQ(serial.stats.passes, 1);
+  ASSERT_EQ(serial.stats.switches_applied, 0u);
+  const auto dist =
+      ExpectMatchesSerial(g, converged.in_u, locked, cfg, shards, shape);
+  EXPECT_EQ(dist.kl.in_u, converged.in_u);
+}
+
+// A pass that keeps its whole sequence: every unlocked node sits in U with
+// friends only among locked W nodes, so each switch gains its degree and
+// the cumulative gain peaks at the last switch.
+TEST_P(DistKlEquivalenceTest, PassKeepingWholeSequence) {
+  const auto [shards, k, shape] = GetParam();
+  constexpr graph::NodeId kMovers = 10;
+  constexpr graph::NodeId kNodes = 40;
+  util::Rng rng(242 + shards);
+  graph::GraphBuilder b(kNodes);
+  for (graph::NodeId v = 0; v < kMovers; ++v) {
+    for (graph::NodeId j = 0; j < 3; ++j) {
+      b.AddFriendship(v, kMovers + (3 * v + j) % (kNodes - kMovers));
+    }
+  }
+  for (graph::NodeId i = 0; i < 2 * kNodes; ++i) {
+    const auto u =
+        static_cast<graph::NodeId>(kMovers + rng.NextUInt(kNodes - kMovers));
+    const auto w =
+        static_cast<graph::NodeId>(kMovers + rng.NextUInt(kNodes - kMovers));
+    if (u == w) continue;
+    if (i % 2 == 0) {
+      b.AddFriendship(u, w);
+    } else {
+      b.AddRejection(u, w);
+    }
+  }
+  const auto g = b.BuildAugmented();
+  std::vector<char> init(kNodes, 0);
+  std::vector<char> locked(kNodes, 1);
+  for (graph::NodeId v = 0; v < kMovers; ++v) {
+    init[v] = 1;
+    locked[v] = 0;
+  }
+  const detect::KlConfig cfg{.k = k};
+  const auto serial = detect::ExtendedKl(g, init, locked, cfg);
+  ASSERT_EQ(serial.stats.switches_applied, kMovers);
+  ASSERT_EQ(serial.stats.passes, 2);
+  ExpectMatchesSerial(g, init, locked, cfg, shards, shape);
+}
+
+// Prefetching on; no prefetch with a one-row cache (every Get misses); no
+// prefetch with a cache larger than the graph (nothing is ever evicted).
+INSTANTIATE_TEST_SUITE_P(
+    ShardAndK, DistKlEquivalenceTest,
+    ::testing::Combine(::testing::Values(1u, 2u, 3u, 5u),
+                       ::testing::Values(0.25, 1.0, 4.0),
+                       ::testing::Values(BufferShape{8, 64}, BufferShape{1, 1},
+                                         BufferShape{1, 1024})));
+
+TEST(DistKlTest, RollbackFetchesNothing) {
+  util::Rng rng(76);
+  const auto g = SmallAugmented(rng, 150);
+  std::vector<char> locked(g.NumNodes(), 0);
+  locked[3] = 1;
+  locked[7] = 1;
+  const std::uint64_t unlocked = g.NumNodes() - 2;
+  constexpr std::uint32_t kShards = 2;
+
+  Cluster cluster(
+      {.num_workers = kShards, .prefetch_batch = 1, .buffer_capacity = 16});
+  const ShardedGraphStore store(g, kShards, cluster.Pool());
+  const auto dist = DistributedKl(store, RejectedInit(g), locked,
+                                  detect::KlConfig{.k = 1.0}, cluster);
+
+  // One Get per pop, and every pass pops each unlocked node once: the
+  // rollback to the best prefix adds no Get at all.
+  ASSERT_GT(dist.kl.stats.passes, 1);
+  EXPECT_EQ(dist.io.cache_hits + dist.io.cache_misses,
+            static_cast<std::uint64_t>(dist.kl.stats.passes) * unlocked);
+  // It is charged as aggregate scans instead: the initial one plus at most
+  // one per pass, each a round trip per shard.
+  EXPECT_GE(dist.io.scan_requests, 2u * kShards);
+  EXPECT_LE(dist.io.scan_requests,
+            (1u + static_cast<std::uint64_t>(dist.kl.stats.passes)) * kShards);
+  EXPECT_EQ(dist.io.scan_requests % kShards, 0u);
+}
+
+TEST(DistKlTest, PrefetchingReducesFetchRequests) {
+  util::Rng rng(77);
+  const auto g = SmallAugmented(rng, 150);
+  const std::vector<char> init = RejectedInit(g);
   const detect::KlConfig cfg{.k = 1.0};
 
   Cluster no_prefetch(
