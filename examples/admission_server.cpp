@@ -20,6 +20,7 @@
 //
 // Build & run:  cmake --build build && ./build/examples/admission_server
 #include <atomic>
+#include <cmath>
 #include <cstdio>
 #include <memory>
 #include <thread>
@@ -73,20 +74,25 @@ int main() {
   service.AddPolicy(std::make_unique<serve::TokenBucketPolicy>(tb));
 
   // Front-end readers decide continuously while the stream ingests —
-  // every decision carries the epoch id it was scored against.
+  // every decision carries the epoch id it was scored against. All readers
+  // draw their logical times from one monotone clock: a bucket treats a
+  // time older than its sender's last request as no time elapsed, so
+  // readers on private clocks would drain buckets at a rate set by thread
+  // timing.
   const int num_readers = 2;
   std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> tick{0};
   std::vector<std::thread> frontends;
   std::atomic<std::uint64_t> live_decisions{0};
   for (int r = 0; r < num_readers; ++r) {
     auto reader = service.CreateReader();
     frontends.emplace_back([&, r, rd = std::move(reader)]() mutable {
       util::Rng prng(100 + r);
-      std::uint64_t t = 0;
+      std::uint64_t n = 0;
       while (!stop.load(std::memory_order_acquire)) {
         rd.Decide(static_cast<graph::NodeId>(prng.NextUInt(log.NumNodes())),
-                  t++);
-        if ((t & 63) == 0) std::this_thread::yield();
+                  tick.fetch_add(1, std::memory_order_relaxed));
+        if ((++n & 63) == 0) std::this_thread::yield();
       }
       live_decisions.fetch_add(rd.Decisions(), std::memory_order_relaxed);
     });
@@ -98,11 +104,16 @@ int main() {
   stop.store(true, std::memory_order_release);
   for (auto& t : frontends) t.join();
 
-  // Post-attack sweep: one admission decision per account.
+  // Post-attack sweep: one admission decision per account, late enough
+  // that every bucket the live readers drained has refilled, so the audit
+  // scores the final epoch rather than the readers' timing.
+  const std::uint64_t audit_tick =
+      tick.load() +
+      static_cast<std::uint64_t>(std::ceil(tb.capacity / tb.refill_per_tick));
   auto auditor = service.CreateReader();
   std::uint64_t fake_blocked = 0, legit_admitted = 0;
   for (graph::NodeId s = 0; s < scenario.NumNodes(); ++s) {
-    const serve::Decision d = auditor.Decide(s, 1);
+    const serve::Decision d = auditor.Decide(s, audit_tick);
     const bool blocked = d.verdict != serve::Verdict::kAdmit;
     if (scenario.is_fake[s] != 0) {
       fake_blocked += blocked ? 1 : 0;

@@ -84,4 +84,9 @@ KlResult ExtendedKl(const graph::GraphSource& src,
                     const std::vector<char>& locked, const KlConfig& config,
                     KlScratch* scratch = nullptr);
 
+// Sizes `scratch`'s gain buckets for ExtendedKl runs over `src` at any k up
+// to `max_k`, so those runs never regrow them. Results do not depend on it.
+void ReserveKlBuckets(const graph::GraphSource& src, double max_k,
+                      const KlConfig& config, KlScratch& scratch);
+
 }  // namespace rejecto::detect

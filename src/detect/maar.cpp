@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <exception>
 #include <limits>
 #include <memory>
+#include <mutex>
 #include <stdexcept>
 
 #include "util/timer.h"
@@ -215,9 +217,13 @@ MaarCut MaarSolver::Solve(util::ThreadPool* pool) {
     return false;
   };
 
-  // Phase 1 — the (k × init) grid. Every cell is an independent KL run;
-  // grid[c] is written by exactly one task, so the only coordination is the
-  // ParallelFor barrier.
+  // Phase 1 — the (k × init) grid and the warm-start chain, as one
+  // dependency-driven schedule. Cells are independent KL runs, handed out
+  // in sweep order (k outer, init inner). Chain step i reduces the cells at
+  // k_i in init order, then — once the incumbent exists — re-runs KL at
+  // k_{i+1} from the incumbent mask and reduces that too. So the reduction
+  // sees cells(k_0), warm(k_1), cells(k_1), ... whatever thread ran what,
+  // and thread count cannot change the winner.
   util::WallTimer sweep_timer;
   std::unique_ptr<util::ThreadPool> owned_pool;
   if (pool == nullptr && cells > 1 &&
@@ -227,59 +233,128 @@ MaarCut MaarSolver::Solve(util::ThreadPool* pool) {
     pool = owned_pool.get();
   }
   best.threads_used = pool == nullptr ? 1 : static_cast<int>(pool->size());
+  const std::size_t blocks = pool != nullptr && cells > 1 ? pool->size() : 1;
 
-  // One reusable KL workspace per pool block: a block runs as exactly one
-  // task, so its scratch is never shared, and every KL run inside the block
-  // reuses the same buffers instead of reallocating per cell. Out-of-core
-  // mode pairs each scratch with its own DecodeCursor (the cursor's block
-  // cache is mutable per-thread state, exactly like the scratch).
-  std::vector<KlScratch> scratches(pool != nullptr ? pool->size() : 1);
+  // One reusable KL workspace per worker loop: a loop runs as exactly one
+  // task, so its scratch is never shared, and every KL run inside it reuses
+  // the same buffers instead of reallocating per cell. Out-of-core mode
+  // pairs each scratch with its own DecodeCursor (the cursor's block cache
+  // is mutable per-thread state, exactly like the scratch).
+  std::vector<KlScratch> scratches(blocks);
   std::vector<std::unique_ptr<graph::DecodeCursor>> cursors;
   if (view_ != nullptr) {
-    cursors.reserve(scratches.size());
-    for (std::size_t i = 0; i < scratches.size(); ++i) {
+    cursors.reserve(blocks);
+    for (std::size_t i = 0; i < blocks; ++i) {
       cursors.push_back(std::make_unique<graph::DecodeCursor>(*view_));
     }
   }
-  auto run_kl = [&](std::size_t block, const std::vector<char>& init,
-                    const KlConfig& cell_kl) {
-    if (view_ != nullptr) {
-      return ExtendedKl(graph::GraphSource(cursors[block].get()), init,
-                        locked_, cell_kl, &scratches[block]);
+  auto source = [&](std::size_t block) {
+    return view_ != nullptr ? graph::GraphSource(cursors[block].get())
+                            : graph::GraphSource(*g_);
+  };
+  // Size every loop's gain buckets for the largest k here, on the calling
+  // thread. Any loop may run a top-k cell, and growing its buckets one k
+  // step at a time inside the pool leaves each outgrown array in that
+  // thread's malloc arena: peak RSS on the soc-Slashdot attack graph was
+  // ~15% higher without this.
+  if (blocks > 1) {
+    for (std::size_t b = 0; b < blocks; ++b) {
+      ReserveKlBuckets(source(b), ks.back(), config_.kl, scratches[b]);
     }
-    return kl_runner_(*g_, init, locked_, cell_kl, &scratches[block]);
-  };
-  std::vector<KlResult> grid(cells);
-  auto run_cell = [&](std::size_t block, std::size_t c) {
-    KlConfig cell_kl = config_.kl;
-    cell_kl.k = ks[c / inits.size()];
-    grid[c] = run_kl(block, inits[c % inits.size()], cell_kl);
-  };
-  if (pool != nullptr && cells > 1) {
-    pool->ParallelFor(cells, run_cell);
-  } else {
-    for (std::size_t c = 0; c < cells; ++c) run_cell(0, c);
   }
+  auto run_kl = [&](std::size_t block, const std::vector<char>& init,
+                    double k) {
+    KlConfig kl = config_.kl;
+    kl.k = k;
+    if (view_ != nullptr) {
+      return ExtendedKl(source(block), init, locked_, kl, &scratches[block]);
+    }
+    return kl_runner_(*g_, init, locked_, kl, &scratches[block]);
+  };
 
-  // Phase 2 — deterministic reduction in sweep order (k outer, init inner),
-  // interleaved with the serial warm-start tail: once every cell at k_i has
-  // been reduced, the incumbent mask seeds one extra KL run at k_{i+1}.
-  // Everything here depends only on the cell results, never on the order
-  // the pool produced them, so thread count cannot change the winner.
-  KlConfig kl = config_.kl;
-  for (std::size_t ki = 0; ki < ks.size(); ++ki) {
+  // grid[c] is written by the loop that ran cell c before it counts the
+  // cell done under `mu`, and read only by the chain step that saw the
+  // count reach zero under `mu`. `best` is touched only by the one chain
+  // step in flight.
+  std::vector<KlResult> grid(cells);
+  std::mutex mu;
+  std::size_t next_cell = 0;                              // guarded by mu
+  std::vector<std::size_t> left(ks.size(), inits.size());  // guarded by mu
+  std::size_t next_level = 0;                             // guarded by mu
+  bool chain_busy = false;                                // guarded by mu
+  std::size_t failed_cell = cells;  // lowest failed cell; guarded by mu
+  std::exception_ptr cell_error;    // failed_cell's; guarded by mu
+  std::exception_ptr chain_error;   // guarded by mu
+
+  auto chain_step = [&](std::size_t block, std::size_t ki) {
     for (std::size_t ii = 0; ii < inits.size(); ++ii) {
-      consider(std::move(grid[ki * inits.size() + ii]), ks[ki]);
+      KlResult& r = grid[ki * inits.size() + ii];
+      consider(std::move(r), ks[ki]);
+      r = {};
     }
     if (config_.warm_start && best.valid && ki + 1 < ks.size()) {
-      kl.k = ks[ki + 1];
       ++best.warm_start_runs;
-      consider(run_kl(0, best.in_u, kl), ks[ki + 1]);
+      consider(run_kl(block, best.in_u, ks[ki + 1]), ks[ki + 1]);
     }
+  };
+
+  // Each turn prefers the chain — it gates the reduction — and otherwise
+  // takes the next cell; a loop returns once neither is available. The
+  // loop that finishes a step's last dependency (its level's last cell, or
+  // the previous step) re-checks at once, so the chain never stalls and no
+  // loop ever waits. After a cell fails no further cell is started: every
+  // lower-indexed cell was already handed out, so the lowest failing cell
+  // is the same on any schedule. A failure also stops the chain.
+  auto worker = [&](std::size_t block, std::size_t) {
+    std::unique_lock<std::mutex> lock(mu);
+    for (;;) {
+      if (!chain_busy && failed_cell == cells && !chain_error &&
+          next_level < ks.size() && left[next_level] == 0) {
+        chain_busy = true;
+        lock.unlock();
+        std::exception_ptr error;
+        try {
+          chain_step(block, next_level);
+        } catch (...) {
+          error = std::current_exception();
+        }
+        lock.lock();
+        chain_busy = false;
+        chain_error = error;
+        ++next_level;
+        continue;
+      }
+      if (next_cell < cells && failed_cell == cells) {
+        const std::size_t c = next_cell++;
+        lock.unlock();
+        std::exception_ptr error;
+        try {
+          grid[c] = run_kl(block, inits[c % inits.size()],
+                           ks[c / inits.size()]);
+        } catch (...) {
+          error = std::current_exception();
+        }
+        lock.lock();
+        if (error && c < failed_cell) {
+          failed_cell = c;
+          cell_error = error;
+        }
+        --left[c / inits.size()];
+        continue;
+      }
+      return;
+    }
+  };
+  if (blocks > 1) {
+    pool->ParallelFor(blocks, worker);
+  } else {
+    worker(0, 0);
   }
+  if (cell_error) std::rethrow_exception(cell_error);
+  if (chain_error) std::rethrow_exception(chain_error);
   best.sweep_seconds = sweep_timer.Seconds();
 
-  // Phase 3 — Dinkelbach refinement: with k set to the best cut's own
+  // Phase 2 — Dinkelbach refinement: with k set to the best cut's own
   // ratio, the cut's objective is exactly 0, so any strictly-negative-
   // objective cut found by KL has a strictly smaller ratio.
   util::WallTimer refine_timer;
@@ -287,8 +362,7 @@ MaarCut MaarSolver::Solve(util::ThreadPool* pool) {
        ++round) {
     const double k = best.ratio;
     if (!(k > 0) || !std::isfinite(k)) break;  // perfect cut; cannot improve
-    kl.k = k;
-    if (!consider(run_kl(0, best.in_u, kl), k)) {
+    if (!consider(run_kl(0, best.in_u, k), k)) {
       break;
     }
   }

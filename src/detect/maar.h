@@ -16,13 +16,18 @@
 //
 // Parallel sweep (the paper's Spark prototype parallelizes exactly this
 // grid, §V/Table II): every (k, init) cell of the sweep is an independent
-// KL run, so Solve() fans the grid out over a util::ThreadPool and then
-// reduces the per-cell results serially in fixed sweep order — the winner,
-// tie-breaking included, is a pure function of the cell results, so any
-// thread count produces bit-identical cuts. Warm starts (the incumbent
-// best mask injected as one extra init at the next k) and the Dinkelbach
-// rounds are inherently sequential and run as a short serial tail on top
-// of the reduced grid, preserving that guarantee.
+// KL run, while the warm starts (the incumbent best mask injected as one
+// extra init at the next k) form a chain through the incumbent. Solve()
+// runs both as one pipelined schedule: one worker loop per pool thread
+// pulls cells in sweep order, and whichever loop completes the last cell
+// of a k level — or the previous chain step — runs the next chain step.
+// A chain step reduces that level's cells in fixed init order, then runs
+// the warm KL at the next k and reduces it. So the reduction always sees
+// cells(k_0), warm(k_1), cells(k_1), ... in the same order, and the
+// winner, tie-breaking included, is a pure function of the cell results:
+// any thread count produces bit-identical cuts. The Dinkelbach rounds then
+// run serially on the calling thread. Without a pool, or with a single
+// cell, the same loop runs inline on the caller.
 #pragma once
 
 #include <cstdint>
@@ -95,14 +100,15 @@ struct MaarConfig {
   // Layout::old_of_new; Solve()'s own layout wrap sets it automatically.
   std::vector<graph::NodeId> rank;
 
-  // Worker threads for the (k × init) grid: 0 = util::HardwareThreads(),
-  // values < 0 clamp to 1. Any setting yields bit-identical cuts (see the
-  // header comment); threads only change wall-clock time.
+  // Worker threads for the (k × init) grid and the warm-start chain:
+  // 0 = util::HardwareThreads(), values < 0 clamp to 1. Any setting yields
+  // bit-identical cuts (see the header comment); threads only change
+  // wall-clock time.
   int num_threads = 0;
 
   // After the grid cells at k_i are reduced, re-run KL once at k_{i+1}
-  // seeded with the incumbent best mask. Adds candidates only, so it can
-  // never worsen the returned cut.
+  // seeded with the incumbent best mask (the warm-start chain). Adds
+  // candidates only, so it can never worsen the returned cut.
   bool warm_start = true;
 };
 
@@ -115,10 +121,10 @@ struct MaarCut {
 
   // Instrumentation (benchmarks report speedup from these).
   int kl_runs = 0;              // total ExtendedKl invocations
-  int warm_start_runs = 0;      // subset of kl_runs from the warm tail
+  int warm_start_runs = 0;      // subset of kl_runs from the warm chain
   std::uint64_t switches = 0;   // KL switches applied, summed over runs
   int threads_used = 1;         // pool width the grid actually ran on
-  double sweep_seconds = 0.0;   // parallel grid + reduction + warm tail
+  double sweep_seconds = 0.0;   // grid, reduction and warm chain
   double refine_seconds = 0.0;  // Dinkelbach rounds
   double total_seconds = 0.0;   // whole Solve() call
 };
@@ -154,10 +160,11 @@ class MaarSolver {
 
   // Creates a private pool when config.num_threads resolves to > 1.
   MaarCut Solve();
-  // Runs the grid on `pool` (callers amortize pool construction across many
-  // solves, e.g. DetectFriendSpammers across rounds); nullptr behaves like
-  // Solve(). When the grid runs on a pool the kl_runner must be safe to
-  // invoke concurrently (the default ExtendedKl runner is pure).
+  // Runs the grid and the warm-start chain on `pool` (callers amortize pool
+  // construction across many solves, e.g. DetectFriendSpammers across
+  // rounds); nullptr behaves like Solve(). With a pool, every KL run except
+  // the Dinkelbach refinement runs on a pool thread, and the kl_runner must
+  // be safe to invoke concurrently (the default ExtendedKl runner is pure).
   MaarCut Solve(util::ThreadPool* pool);
 
  private:

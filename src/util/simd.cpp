@@ -152,6 +152,7 @@ __attribute__((target("avx2,popcnt"))) std::size_t FilterMapRowAvx2(
 __attribute__((target("avx2"))) void CopyU32Avx2(const std::uint32_t* src,
                                                 std::size_t count,
                                                 std::uint32_t* dst) {
+  if (count == 0) return;
   std::size_t i = 0;
   for (; i + 16 <= count; i += 16) {
     const __m256i a =
@@ -216,6 +217,9 @@ std::size_t FilterMapRow(const unsigned char* keep, const std::uint32_t* map,
 }
 
 void CopyU32(const std::uint32_t* src, std::size_t count, std::uint32_t* dst) {
+  // An empty row may come with null pointers, and memcpy forbids them even
+  // for zero bytes.
+  if (count == 0) return;
 #if defined(__x86_64__) || defined(__i386__)
   if (ActiveMode() == SimdMode::kAvx2) {
     CopyU32Avx2(src, count, dst);
