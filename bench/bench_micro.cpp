@@ -154,24 +154,29 @@ void BM_HolmeKim(benchmark::State& state) {
 }
 BENCHMARK(BM_HolmeKim)->Arg(10'000)->Unit(benchmark::kMillisecond);
 
-void BM_ShardFetchBatch(benchmark::State& state) {
+void BM_ShardFetchInto(benchmark::State& state) {
   const auto scenario = MakeScenario(20'000, 2'000);
   engine::ClusterConfig ccfg;
   ccfg.num_workers = 4;
   engine::Cluster cluster(ccfg);
   const engine::ShardedGraphStore store(scenario.graph, 4, cluster.Pool());
   util::Rng rng(9);
-  std::vector<graph::NodeId> batch(static_cast<std::size_t>(state.range(0)));
+  const auto size = static_cast<std::size_t>(state.range(0));
+  std::vector<graph::NodeId> batch(size);
+  std::vector<engine::NodeAdjacency> rows(size);
+  std::vector<engine::NodeAdjacency*> out;
+  for (engine::NodeAdjacency& row : rows) out.push_back(&row);
   engine::IoStats stats;
   for (auto _ : state) {
     for (auto& v : batch) {
       v = static_cast<graph::NodeId>(rng.NextUInt(scenario.NumNodes()));
     }
-    benchmark::DoNotOptimize(store.FetchBatch(batch, stats));
+    store.FetchInto(batch, out, stats);
+    benchmark::DoNotOptimize(rows.data());
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_ShardFetchBatch)->Arg(16)->Arg(256);
+BENCHMARK(BM_ShardFetchInto)->Arg(16)->Arg(256);
 
 void BM_PrefetchBufferGet(benchmark::State& state) {
   const auto scenario = MakeScenario(20'000, 2'000);

@@ -111,12 +111,12 @@ KlResult ExtendedKl(const graph::GraphSource& src,
     }
 
     // Roll back everything after the best prefix (or everything, if no
-    // positive prefix exists). The bucket list is drained, so the plain
-    // (bucket-free) Switch suffices. Reverse order is not required for
-    // correctness — switches commute on the membership mask — but keeps the
-    // incremental aggregates exercised symmetrically.
-    for (std::size_t i = ws.seq.size(); i > best_prefix; --i) {
-      p.Switch(ws.seq[i - 1]);
+    // positive prefix exists) by recompute. The suffix is normally most of
+    // the graph, so one pass over the rows is cheaper than replaying its
+    // switches, and on the distributed store it reads shard-local rows
+    // instead of fetching them.
+    if (best_prefix < ws.seq.size()) {
+      p.SwitchAll({ws.seq.data() + best_prefix, ws.seq.size() - best_prefix});
     }
     stats.switches_applied += best_prefix;
     if (best_prefix == 0) break;  // converged: no improving prefix

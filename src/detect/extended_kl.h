@@ -13,10 +13,12 @@
 // traversal of the node's friends/rejectors/rejectees
 // (Partition::SwitchFused), fusing the aggregate updates with bucket
 // maintenance, and a node only relinks when its quantized bucket actually
-// changes (BucketList::Adjust). All working state lives in a KlScratch that
-// callers may reuse across invocations; the steady-state pass loop then
-// performs no heap allocation at all (the only allocation per call is the
-// result mask copy).
+// changes (BucketList::Adjust). A pass rolls back to its best prefix by
+// recompute (Partition::SwitchAll). All working state lives in a KlScratch
+// that callers may reuse across invocations; the steady-state pass loop
+// then performs no heap allocation at all (the only allocation per call is
+// the result mask copy). The out-of-core path and the distributed engine
+// (engine/dist_kl.h) run this same loop over their own graph::RowCursor.
 #pragma once
 
 #include <cstdint>
@@ -76,9 +78,10 @@ struct KlScratch {
 // either way, and identical whatever graph the scratch last served.
 //
 // `src` is either an in-RAM AugmentedGraph (implicit conversion keeps the
-// historical call sites compiling unchanged) or a cursor over a compressed
-// snapshot; both backends serve identical adjacency bytes, so the returned
-// cut is bit-identical regardless of which one a caller picks.
+// historical call sites compiling unchanged) or a graph::RowCursor (a
+// compressed snapshot's DecodeCursor, the distributed store's rows); every
+// backend serves identical adjacency bytes, so the returned cut is
+// bit-identical regardless of which one a caller picks.
 KlResult ExtendedKl(const graph::GraphSource& src,
                     const std::vector<char>& init_in_u,
                     const std::vector<char>& locked, const KlConfig& config,

@@ -131,12 +131,14 @@ struct MaarCut {
 
 class MaarSolver {
  public:
-  // Pluggable inner solver: the serial detect::ExtendedKl by default; the
-  // distributed engine injects engine::DistributedKl (same signature, same
-  // bit-exact results) so the whole k-sweep runs on the cluster substrate.
-  // The KlScratch* is a per-thread reusable workspace owned by the solver
-  // (one per pool block, so no locking); runners that keep their own state
-  // may ignore it. It may be null.
+  // Pluggable inner solver: detect::ExtendedKl over the in-RAM graph by
+  // default. The distributed engine injects a runner that calls
+  // engine::DistributedKl — the same ExtendedKl over the cluster's sharded
+  // store, on the scratch handed in — so the whole k-sweep runs on the
+  // cluster substrate with bit-exact results; a tracing runner may wrap
+  // ExtendedKl to time each call. The KlScratch* is a per-thread reusable
+  // workspace owned by the solver (one per pool block, so no locking); it
+  // may be null.
   using KlRunner = std::function<KlResult(
       const graph::AugmentedGraph&, const std::vector<char>& init_in_u,
       const std::vector<char>& locked, const KlConfig&, KlScratch* scratch)>;

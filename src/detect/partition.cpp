@@ -101,9 +101,6 @@ void Partition::Reset(const graph::GraphSource& src,
 
 void Partition::InitAggregates() {
   const graph::NodeId n = static_cast<graph::NodeId>(in_u_.size());
-  size_u_ = 0;
-  cross_friendships_ = 0;
-  rejections_into_u_ = 0;
   agg_.assign(n, NodeAggregates{});
 
   // Normalize the mask to strict 0/1: callers promise "non-zero means in U",
@@ -111,53 +108,70 @@ void Partition::InitAggregates() {
   // SIMD zero-byte counts all agree on the same membership.
   for (graph::NodeId v = 0; v < n; ++v) in_u_[v] = in_u_[v] != 0 ? 1 : 0;
 
+  // Gather path: every per-node aggregate is an exact zero-byte count over
+  // the normalized mask (cross = neighbors on the other side, in_from_w =
+  // rejectors outside U, out_to_u = rejectees inside U), so the results
+  // match the scalar loops bit for bit.
+  const unsigned char* mask = nullptr;
   if (util::simd::ActiveMode() == util::simd::SimdMode::kAvx2 && n > 0) {
-    // Gather path: every per-node aggregate is an exact zero-byte count over
-    // the normalized mask (cross = neighbors on the other side, in_from_w =
-    // rejectors outside U, out_to_u = rejectees inside U), so the results
-    // match the scalar loops bit for bit.
     mask_scratch_.resize(n);
     std::memcpy(mask_scratch_.data(), in_u_.data(), n);
-    const unsigned char* mask = mask_scratch_.data();
-    for (graph::NodeId v = 0; v < n; ++v) {
-      if (in_u_[v]) ++size_u_;
-      NodeAggregates& a = agg_[v];
-      a.deg = src_.FriendDegree(v) | (in_u_[v] ? kSideBit : 0u);
-      const auto friends = src_.Friends(v);
-      const auto rejectors = src_.Rejectors(v);
-      const auto rejectees = src_.Rejectees(v);
+    mask = mask_scratch_.data();
+  }
+  // Each visit reads the mask and writes only agg_[v], so a source may run
+  // the pass from several threads (the distributed store scans its shards
+  // in parallel).
+  src_.ForEachRow([this, mask](graph::NodeId v,
+                               std::span<const graph::NodeId> friends,
+                               std::span<const graph::NodeId> rejectors,
+                               std::span<const graph::NodeId> rejectees) {
+    NodeAggregates& a = agg_[v];
+    const bool v_in_u = in_u_[v] != 0;
+    a.deg = static_cast<std::uint32_t>(friends.size()) |
+            (v_in_u ? kSideBit : 0u);
+    if (mask != nullptr) {
       const std::size_t friends_out =
           util::simd::CountZeroAt(mask, friends.data(), friends.size());
       a.cross_friends = static_cast<std::uint32_t>(
-          in_u_[v] ? friends_out : friends.size() - friends_out);
+          v_in_u ? friends_out : friends.size() - friends_out);
       a.in_from_w = static_cast<std::uint32_t>(
           util::simd::CountZeroAt(mask, rejectors.data(), rejectors.size()));
       a.out_to_u = static_cast<std::uint32_t>(
           rejectees.size() -
           util::simd::CountZeroAt(mask, rejectees.data(), rejectees.size()));
+      return;
     }
-  } else {
-    for (graph::NodeId v = 0; v < n; ++v) {
-      if (in_u_[v]) ++size_u_;
-      NodeAggregates& a = agg_[v];
-      a.deg = src_.FriendDegree(v) | (in_u_[v] ? kSideBit : 0u);
-      for (graph::NodeId w : src_.Friends(v)) {
-        if (in_u_[v] != in_u_[w]) ++a.cross_friends;
-      }
-      for (graph::NodeId x : src_.Rejectors(v)) {
-        if (!in_u_[x]) ++a.in_from_w;
-      }
-      for (graph::NodeId y : src_.Rejectees(v)) {
-        if (in_u_[y]) ++a.out_to_u;
-      }
+    for (graph::NodeId w : friends) {
+      if (v_in_u != (in_u_[w] != 0)) ++a.cross_friends;
     }
-  }
+    for (graph::NodeId x : rejectors) {
+      if (!in_u_[x]) ++a.in_from_w;
+    }
+    for (graph::NodeId y : rejectees) {
+      if (in_u_[y]) ++a.out_to_u;
+    }
+  });
+
+  size_u_ = 0;
+  cross_friendships_ = 0;
+  rejections_into_u_ = 0;
   for (graph::NodeId v = 0; v < n; ++v) {
     if (in_u_[v]) {
+      ++size_u_;
       cross_friendships_ += agg_[v].cross_friends;
       rejections_into_u_ += agg_[v].in_from_w;
     }
   }
+}
+
+void Partition::SwitchAll(std::span<const graph::NodeId> nodes) {
+  for (graph::NodeId v : nodes) {
+    if (v >= NumNodes()) {
+      throw std::out_of_range("Partition::SwitchAll: node id");
+    }
+    in_u_[v] = in_u_[v] ? 0 : 1;
+  }
+  InitAggregates();
 }
 
 void Partition::Switch(graph::NodeId v) {

@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/augmented_graph.h"
@@ -52,6 +53,13 @@ class Partition {
 
   // Moves v to the other side, updating all aggregates.
   void Switch(graph::NodeId v);
+
+  // Moves every node of `nodes` (distinct ids) to the other side by
+  // flipping the mask and recomputing every aggregate with one
+  // GraphSource::ForEachRow pass, allocation-free. The aggregates are
+  // integer functions of the mask, so this is exactly the state the Switch
+  // calls would reach.
+  void SwitchAll(std::span<const graph::NodeId> nodes);
 
   // Fused FM switch: one traversal of v's friends, rejectors and rejectees
   // applies the aggregate deltas AND maintains the gain buckets. Neighbor

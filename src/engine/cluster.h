@@ -5,7 +5,7 @@
 // transport the master speaks to its workers:
 //
 //   loopback  no transport object at all — the "network" is the metered
-//             FetchBatch path of ShardedGraphStore (the original simulated
+//             FetchInto path of ShardedGraphStore (the original simulated
 //             cluster; default, and byte-identical to what it always did).
 //   simnet    a net::SimNetwork carrying RJNET001 frames between the master
 //             and in-process ShardWorkers over deterministic faulty links.
@@ -79,7 +79,7 @@ class Cluster {
 
   // Worker-death bookkeeping. A dead worker's partitions are rebuilt as
   // replicas by every store built afterwards (and by a mid-sweep failover
-  // in stores already live). Master-thread only, like FetchBatch.
+  // in stores already live). Master-thread only, like FetchInto.
   void KillWorker(std::uint32_t worker);
   void ReviveWorker(std::uint32_t worker);
   bool WorkerDead(std::uint32_t worker) const noexcept {

@@ -14,14 +14,14 @@ DistMaarResult SolveMaarDistributed(const graph::AugmentedGraph& g,
                     const std::vector<char>& init,
                     const std::vector<char>& locked,
                     const detect::KlConfig& kl,
-                    detect::KlScratch* /*scratch*/) {
-    DistKlResult r = DistributedKl(store, init, locked, kl, cluster);
+                    detect::KlScratch* scratch) {
+    DistKlResult r = DistributedKl(store, init, locked, kl, cluster, scratch);
     result.io.Accumulate(r.io);
     return std::move(r.kl);
   };
   // The sweep must stay serial here: every DistributedKl call owns its
   // prefetch buffer, but its fetches go through ShardedGraphStore::
-  // FetchBatch, which runs only on the master thread, and the runner above
+  // FetchInto, which runs only on the master thread, and the runner above
   // accumulates IoStats without locking. Determinism of the sweep makes the
   // cut identical either way; on this substrate the parallelism is the
   // simulated workers'.

@@ -1,10 +1,10 @@
 // Distributed MAAR solve: detect::MaarSolver's k-sweep + Dinkelbach driver
 // with engine::DistributedKl as the inner partitioner, so the full Rejecto
 // cut search runs against the cluster substrate (sharded adjacency, master
-// bucket list, prefetch). Produces the exact cut the serial solver would
-// (DistributedKl is bit-identical to ExtendedKl) plus accumulated I/O
-// statistics for every KL invocation of the sweep — this is what Table II
-// times.
+// bucket list, prefetch). Every KL call is detect::ExtendedKl over the
+// store's rows on the solver's own KlScratch, so the cut is exactly the
+// serial solver's; the result adds the accumulated I/O statistics of every
+// KL invocation of the sweep — this is what Table II times.
 #pragma once
 
 #include "detect/maar.h"

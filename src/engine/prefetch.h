@@ -4,7 +4,9 @@
 // round trip per step; the prototype instead prefetches the nodes most
 // likely to be switched next — those with the highest potential gains in
 // the bucket list — in batches, and evicts with LRU. The candidate supplier
-// is injected so DistributedKl can hand in "current top-gain nodes".
+// is injected: DistributedKl's store-backed row cursor hands in the KL
+// kernel's current top-gain nodes (BucketList::CollectTop), read when a
+// switched node's row misses, right after the kernel popped it.
 //
 // The cache is a fixed table of min(capacity, n) slots: an n-sized node ->
 // slot index, intrusive LRU links over slot ids, and per-slot rows whose

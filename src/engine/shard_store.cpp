@@ -1,5 +1,6 @@
 #include "engine/shard_store.h"
 
+#include <algorithm>
 #include <chrono>
 #include <stdexcept>
 #include <string>
@@ -85,9 +86,26 @@ ShardedGraphStore::ShardedGraphStore(const graph::AugmentedGraph& g,
   policy_.Validate("ShardedGraphStore policy");
   shards_.resize(num_shards);
   replica_.assign(num_shards, 0);
-  // Shard loading is embarrassingly parallel across shards.
-  pool_->ParallelFor(num_shards,
-                     [&](std::size_t s) { BuildShard(static_cast<std::uint32_t>(s)); });
+  rej_in_degree_.resize(num_nodes_);
+  // Shard loading is embarrassingly parallel across shards. Each worker
+  // also reports its nodes' rejection in-degrees and its degree maxima.
+  std::vector<std::pair<std::size_t, std::size_t>> maxima(num_shards);
+  pool_->ParallelFor(num_shards, [&](std::size_t s) {
+    BuildShard(static_cast<std::uint32_t>(s));
+    for (graph::NodeId v = s; v < num_nodes_; v += num_shards) {
+      const NodeAdjacency& a = Local(v);
+      rej_in_degree_[v] = static_cast<std::uint32_t>(a.rejectors.size());
+      maxima[s].first = std::max(maxima[s].first, a.friends.size());
+      maxima[s].second = std::max(maxima[s].second,
+                                  a.rejectors.size() + a.rejectees.size());
+    }
+  });
+  for (const auto& [friends, rejections] : maxima) {
+    max_friendship_degree_ =
+        std::max<std::uint64_t>(max_friendship_degree_, friends);
+    max_rejection_degree_ =
+        std::max<std::uint64_t>(max_rejection_degree_, rejections);
+  }
 }
 
 ShardedGraphStore::ShardedGraphStore(const graph::AugmentedGraph& g,
@@ -363,16 +381,6 @@ void ShardedGraphStore::ResolveWireFetch(
   if (!served) ServeLocally(s, nodes, positions, out);
 }
 
-std::vector<NodeAdjacency> ShardedGraphStore::FetchBatch(
-    std::span<const graph::NodeId> nodes, IoStats& stats) const {
-  std::vector<NodeAdjacency> rows(nodes.size());
-  std::vector<NodeAdjacency*> out;
-  out.reserve(rows.size());
-  for (NodeAdjacency& row : rows) out.push_back(&row);
-  FetchInto(nodes, out, stats);
-  return rows;
-}
-
 void ShardedGraphStore::FetchInto(std::span<const graph::NodeId> nodes,
                                   std::span<NodeAdjacency* const> out,
                                   IoStats& stats) const {
@@ -386,7 +394,7 @@ void ShardedGraphStore::FetchInto(std::span<const graph::NodeId> nodes,
   for (auto& positions : by_shard) positions.clear();
   for (std::size_t i = 0; i < nodes.size(); ++i) {
     if (nodes[i] >= num_nodes_) {
-      throw std::out_of_range("ShardedGraphStore::FetchBatch: node id");
+      throw std::out_of_range("ShardedGraphStore::FetchInto: node id");
     }
     by_shard[ShardOf(nodes[i])].push_back(i);
   }

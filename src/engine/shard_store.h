@@ -4,7 +4,7 @@
 // Spark workers as RDD partitions while the master holds only per-node
 // algorithm state. This substrate reproduces that data layout: the
 // augmented graph's adjacency is hash-sharded across `num_shards` workers
-// and the master pulls per-node adjacency through FetchBatch. Where the
+// and the master pulls per-node adjacency through FetchInto. Where the
 // shard data lives and what carries the request depends on the cluster's
 // transport backend (net/transport.h):
 //
@@ -13,12 +13,12 @@
 //             via NetworkModel — the original simulated-cluster path.
 //   simnet    the store pushes each partition to a per-worker
 //             engine::ShardWorker through RJNET001 kBuildShard frames over
-//             net::SimNetwork, and FetchBatch issues kFetchRequest frames
+//             net::SimNetwork, and FetchInto issues kFetchRequest frames
 //             over the same deterministic faulty links.
 //   socket    identical protocol, but the ShardWorkers are real processes
 //             behind net::SocketTransport.
 //
-// Failure tolerance (docs/ROBUSTNESS.md): FetchBatch consults two failpoint
+// Failure tolerance (docs/ROBUSTNESS.md): FetchInto consults two failpoint
 // sites before touching a shard — "engine/fetch_shard" (a transient fetch
 // failure/timeout; the master retries with exponential backoff up to
 // FetchPolicy::max_attempts) and "engine/worker_crash" (the worker dies and
@@ -173,21 +173,31 @@ class ShardedGraphStore {
     return v % NumShards();
   }
 
-  // Pulls the adjacency of each requested node, grouping the request by
+  // Pulls the adjacency of each requested node into caller-owned rows:
+  // *out[i] receives nodes[i]'s adjacency, reusing its vectors' capacity
+  // (wire responses decode straight into them). The request is grouped by
   // shard. Loopback: the per-shard lookups execute on the worker pool and
   // `stats` is charged one fetch_request per shard touched plus the
   // payload bytes. Wire backends: one kFetchRequest frame per shard
   // touched, retried/failed-over per FetchPolicy, with wire counters
-  // accumulated into stats.wire. Master-thread only.
-  std::vector<NodeAdjacency> FetchBatch(std::span<const graph::NodeId> nodes,
-                                        IoStats& stats) const;
-
-  // FetchBatch into caller-owned rows: *out[i] receives nodes[i]'s
-  // adjacency, reusing its vectors' capacity (wire responses decode straight
-  // into them). Same requests, metering and failure handling. If it throws,
-  // the rows' contents are unspecified.
+  // accumulated into stats.wire. Throws std::out_of_range for an id outside
+  // the store; if it throws, the rows' contents are unspecified.
+  // Master-thread only.
   void FetchInto(std::span<const graph::NodeId> nodes,
                  std::span<NodeAdjacency* const> out, IoStats& stats) const;
+
+  // Master-resident node status (paper §V): filled when the shards are
+  // built, read without any I/O.
+  std::uint32_t RejInDegree(graph::NodeId v) const {
+    return rej_in_degree_[v];
+  }
+  std::uint64_t MaxFriendshipDegree() const noexcept {
+    return max_friendship_degree_;
+  }
+  // max over v of rejections received plus rejections cast.
+  std::uint64_t MaxRejectionDegree() const noexcept {
+    return max_rejection_degree_;
+  }
 
   // Runs fn(shard_index) for every shard on the worker pool and waits —
   // the analogue of a Spark transformation over all partitions. (On wire
@@ -198,21 +208,21 @@ class ShardedGraphStore {
   // Meters one ForEachShard scan whose master broadcasts `broadcast_bytes`
   // to every shard and gathers `gather_bytes` back in total: one
   // scan_request per shard, the bytes, and one NetworkModel round trip (the
-  // shards answer in parallel, as in a loopback FetchBatch). Nothing crosses
+  // shards answer in parallel, as in a loopback FetchInto). Nothing crosses
   // the transport; this only charges the traffic a deployment would pay.
   void ChargeScan(std::uint64_t broadcast_bytes, std::uint64_t gather_bytes,
                   IoStats& stats) const;
 
   // Worker-local access to a node's adjacency — no simulated network I/O.
   // Only call for nodes of the shard the caller is processing (inside a
-  // ForEachShard body); cross-shard reads must go through FetchBatch.
+  // ForEachShard body); cross-shard reads must go through FetchInto.
   const NodeAdjacency& Local(graph::NodeId v) const {
     return shards_[ShardOf(v)].nodes[v / NumShards()];
   }
 
   // Shards built as failover replicas because their worker was already
   // dead at construction. Publish-time failovers are metered into
-  // PublishIo().shard_failovers and FetchBatch-time failovers into the
+  // PublishIo().shard_failovers and FetchInto-time failovers into the
   // caller's IoStats, so summing all three never double-counts.
   std::uint64_t Failovers() const noexcept { return failovers_; }
 
@@ -258,8 +268,11 @@ class ShardedGraphStore {
 
   graph::NodeId num_nodes_ = 0;
   const graph::AugmentedGraph* source_;  // lineage for failover rebuilds
-  // Failure handling mutates shard state from const FetchBatch; all of it
-  // runs on the master thread (FetchBatch is not itself thread-safe).
+  std::vector<std::uint32_t> rej_in_degree_;
+  std::uint64_t max_friendship_degree_ = 0;
+  std::uint64_t max_rejection_degree_ = 0;
+  // Failure handling mutates shard state from const FetchInto; all of it
+  // runs on the master thread (FetchInto is not itself thread-safe).
   mutable std::vector<Shard> shards_;
   mutable std::vector<char> replica_;
   mutable std::uint64_t failovers_ = 0;

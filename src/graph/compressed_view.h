@@ -31,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "graph/graph_source.h"
 #include "graph/layout.h"
 #include "graph/snapshot.h"
 #include "graph/snapshot_format.h"
@@ -143,10 +144,11 @@ class CompressedGraphView {
   CsrView csr_[3];
 };
 
-// Per-thread decoded-block cache over a CompressedGraphView. Not
-// thread-safe; create one per worker (MaarSolver keeps one per scratch
-// slot). Row accessors mirror SocialGraph/RejectionGraph.
-class DecodeCursor {
+// Per-thread decoded-block cache over a CompressedGraphView: the
+// out-of-core RowCursor. Not thread-safe; create one per worker
+// (MaarSolver keeps one per scratch slot). Row accessors mirror
+// SocialGraph/RejectionGraph.
+class DecodeCursor final : public RowCursor {
  public:
   // cache_rows: decoded rows retained per CSR (three caches of this size).
   // < 0 reads REJECTO_DECODE_CACHE_ROWS (default 65536). The cache always
@@ -155,15 +157,21 @@ class DecodeCursor {
                         std::int64_t cache_rows = -1);
 
   const CompressedGraphView& View() const noexcept { return *view_; }
-  NodeId NumNodes() const noexcept { return view_->NumNodes(); }
+  NodeId NumNodes() const override { return view_->NumNodes(); }
+  std::uint64_t MaxFriendshipDegree() const override {
+    return view_->MaxFriendshipDegree();
+  }
+  std::uint64_t MaxRejectionDegree() const override {
+    return view_->MaxRejectionDegree();
+  }
 
-  std::span<const NodeId> Friends(NodeId u) {
+  std::span<const NodeId> Friends(NodeId u) override {
     return Row(CompressedGraphView::kFriend, u);
   }
-  std::span<const NodeId> Rejectees(NodeId u) {
+  std::span<const NodeId> Rejectees(NodeId u) override {
     return Row(CompressedGraphView::kRejOut, u);
   }
-  std::span<const NodeId> Rejectors(NodeId u) {
+  std::span<const NodeId> Rejectors(NodeId u) override {
     return Row(CompressedGraphView::kRejIn, u);
   }
 
@@ -173,7 +181,7 @@ class DecodeCursor {
   std::uint32_t OutDegree(NodeId u) {
     return RowDegree(CompressedGraphView::kRejOut, u);
   }
-  std::uint32_t InDegree(NodeId u) {
+  std::uint32_t InDegree(NodeId u) override {
     return RowDegree(CompressedGraphView::kRejIn, u);
   }
 

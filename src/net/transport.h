@@ -16,7 +16,7 @@
 //             connections to worker *processes* (net::FrameServer +
 //             engine::ShardWorker at the far end).
 //
-// Call() is master-thread only, like ShardedGraphStore::FetchBatch: all
+// Call() is master-thread only, like ShardedGraphStore::FetchInto: all
 // retry, backoff, and failover decisions stay on the master in
 // deterministic shard order, which is what makes detection over any
 // backend bit-identical to the single-process pipeline.

@@ -84,6 +84,34 @@ TEST(PartitionTest, DoubleSwitchIsIdentity) {
   EXPECT_EQ(p.Mask(), mask);
 }
 
+// SwitchAll (the KL rollback) lands on exactly the state the same Switch
+// calls reach: mask, region size, cut totals and every node's gain.
+TEST(PartitionTest, SwitchAllMatchesSwitchingOneByOne) {
+  util::Rng rng(9);
+  const auto g = RandomAugmented(50, 150, 100, rng);
+  const auto mask = RandomMask(50, 0.4, rng);
+  Partition one_by_one(g, mask);
+  Partition recomputed(g, mask);
+  std::vector<graph::NodeId> nodes;
+  for (graph::NodeId v = 0; v < 50; v += 3) nodes.push_back(v);
+  for (graph::NodeId v : nodes) one_by_one.Switch(v);
+  recomputed.SwitchAll(nodes);
+  EXPECT_EQ(recomputed.Mask(), one_by_one.Mask());
+  EXPECT_EQ(recomputed.SizeU(), one_by_one.SizeU());
+  const auto q = recomputed.Quantities();
+  const auto want = one_by_one.Quantities();
+  EXPECT_EQ(q.cross_friendships, want.cross_friendships);
+  EXPECT_EQ(q.rejections_into_u, want.rejections_into_u);
+  EXPECT_EQ(q.rejections_from_u, want.rejections_from_u);
+  for (graph::NodeId v = 0; v < 50; ++v) {
+    EXPECT_EQ(recomputed.DeltaFriends(v), one_by_one.DeltaFriends(v)) << v;
+    EXPECT_EQ(recomputed.DeltaRejections(v), one_by_one.DeltaRejections(v))
+        << v;
+  }
+  const graph::NodeId bad[1] = {50};
+  EXPECT_THROW(recomputed.SwitchAll(bad), std::out_of_range);
+}
+
 // Property: after any random switch sequence, the incrementally-maintained
 // totals equal the O(E) oracle recomputation.
 class PartitionPropertyTest : public ::testing::TestWithParam<std::uint64_t> {

@@ -38,6 +38,13 @@ graph::AugmentedGraph SmallAugmented(util::Rng& rng, graph::NodeId n = 60) {
   return b.BuildAugmented();
 }
 
+// One output row pointer per row, for ShardedGraphStore::FetchInto.
+std::vector<NodeAdjacency*> RowPointers(std::vector<NodeAdjacency>& rows) {
+  std::vector<NodeAdjacency*> out;
+  for (NodeAdjacency& row : rows) out.push_back(&row);
+  return out;
+}
+
 void ExpectAdjacencyMatchesGraph(const ShardedGraphStore& store,
                                  const graph::AugmentedGraph& g,
                                  std::span<const graph::NodeId> ids,
@@ -67,7 +74,8 @@ TEST(FetchFaultTest, TransientFailureRetriesWithBackoff) {
   // First evaluation fails, the retry succeeds.
   util::ScopedFailpoint flaky("engine/fetch_shard",
                               util::FailpointPolicy::OnNth(1));
-  const auto batch = store.FetchBatch(ids, stats);
+  std::vector<NodeAdjacency> batch(2);
+  store.FetchInto(ids, RowPointers(batch), stats);
   ExpectAdjacencyMatchesGraph(store, g, ids, batch);
   EXPECT_EQ(stats.fetch_retries, 1u);
   EXPECT_DOUBLE_EQ(stats.simulated_backoff_us, 100.0);
@@ -88,11 +96,11 @@ TEST(FetchFaultTest, BackoffGrowsExponentially) {
   IoStats stats;
   const graph::NodeId ids[1] = {0};
   // every:1 fails all 4 attempts -> failover (degraded mode default on).
-  std::vector<NodeAdjacency> batch;
+  std::vector<NodeAdjacency> batch(1);
   {
     util::ScopedFailpoint down("engine/fetch_shard",
                                util::FailpointPolicy::EveryNth(1));
-    batch = store.FetchBatch(ids, stats);
+    store.FetchInto(ids, RowPointers(batch), stats);
   }
   ExpectAdjacencyMatchesGraph(store, g, ids, batch);
   EXPECT_EQ(stats.fetch_retries, 3u);  // attempts 1-3 retried, 4th failed over
@@ -112,7 +120,9 @@ TEST(FetchFaultTest, ExhaustionWithoutDegradedModeThrows) {
   const graph::NodeId ids[1] = {0};
   util::ScopedFailpoint down("engine/fetch_shard",
                              util::FailpointPolicy::EveryNth(1));
-  EXPECT_THROW(store.FetchBatch(ids, stats), std::runtime_error);
+  std::vector<NodeAdjacency> batch(1);
+  EXPECT_THROW(store.FetchInto(ids, RowPointers(batch), stats),
+               std::runtime_error);
 }
 
 TEST(FetchFaultTest, FailedPrefetchBatchLeavesNothingCached) {
@@ -158,7 +168,8 @@ TEST(FetchFaultTest, WorkerCrashFailsOverAndMarksClusterWorkerDead) {
   const graph::NodeId ids[1] = {1};  // shard 1
   util::ScopedFailpoint crash("engine/worker_crash",
                               util::FailpointPolicy::OnNth(1));
-  const auto batch = store.FetchBatch(ids, stats);
+  std::vector<NodeAdjacency> batch(1);
+  store.FetchInto(ids, RowPointers(batch), stats);
   ExpectAdjacencyMatchesGraph(store, g, ids, batch);
   EXPECT_EQ(stats.shard_failovers, 1u);
   EXPECT_TRUE(store.IsReplica(1));
@@ -166,7 +177,8 @@ TEST(FetchFaultTest, WorkerCrashFailsOverAndMarksClusterWorkerDead) {
   EXPECT_EQ(cluster.NumDeadWorkers(), 1u);
   // The replica keeps serving; Local data survived the rebuild.
   IoStats stats2;
-  const auto batch2 = store.FetchBatch(ids, stats2);
+  std::vector<NodeAdjacency> batch2(1);
+  store.FetchInto(ids, RowPointers(batch2), stats2);
   ExpectAdjacencyMatchesGraph(store, g, ids, batch2);
   EXPECT_EQ(stats2.shard_failovers, 0u);
 }

@@ -35,6 +35,13 @@ graph::AugmentedGraph SmallAugmented(util::Rng& rng, graph::NodeId n = 60) {
   return b.BuildAugmented();
 }
 
+// One output row pointer per row, for ShardedGraphStore::FetchInto.
+std::vector<NodeAdjacency*> RowPointers(std::vector<NodeAdjacency>& rows) {
+  std::vector<NodeAdjacency*> out;
+  for (NodeAdjacency& row : rows) out.push_back(&row);
+  return out;
+}
+
 // ---------- Cluster ----------
 
 TEST(ClusterTest, InvalidPrefetchConfigThrows) {
@@ -68,14 +75,15 @@ TEST(ShardStoreTest, LocalMatchesGraph) {
   }
 }
 
-TEST(ShardStoreTest, FetchBatchReturnsRequestedOrder) {
+TEST(ShardStoreTest, FetchIntoReturnsRequestedOrder) {
   util::Rng rng(3);
   const auto g = SmallAugmented(rng);
   util::ThreadPool pool(2);
   const ShardedGraphStore store(g, 3, pool);
   IoStats stats;
   const graph::NodeId ids[4] = {7, 1, 12, 5};
-  const auto batch = store.FetchBatch(ids, stats);
+  std::vector<NodeAdjacency> batch(4);
+  store.FetchInto(ids, RowPointers(batch), stats);
   ASSERT_EQ(batch.size(), 4u);
   for (int i = 0; i < 4; ++i) {
     EXPECT_EQ(batch[static_cast<std::size_t>(i)].friends.size(),
@@ -91,7 +99,8 @@ TEST(ShardStoreTest, FetchAccountingChargesPerShardTouched) {
   IoStats stats;
   // Nodes 0 and 4 share shard 0; node 1 is shard 1 -> 2 RPCs.
   const graph::NodeId ids[3] = {0, 4, 1};
-  store.FetchBatch(ids, stats);
+  std::vector<NodeAdjacency> batch(3);
+  store.FetchInto(ids, RowPointers(batch), stats);
   EXPECT_EQ(stats.fetch_requests, 2u);
   EXPECT_EQ(stats.nodes_fetched, 3u);
   EXPECT_GT(stats.bytes_transferred, 0u);
@@ -111,12 +120,13 @@ TEST(ShardStoreTest, SimulatedNetworkTimeAccrues) {
   const ShardedGraphStore store(g, 2, pool, slow);
   IoStats stats;
   const graph::NodeId ids[2] = {0, 1};
-  store.FetchBatch(ids, stats);
+  std::vector<NodeAdjacency> batch(2);
+  store.FetchInto(ids, RowPointers(batch), stats);
   // One batch = one latency charge plus payload time.
   const double expected =
       slow.MicrosFor(1, stats.bytes_transferred);
   EXPECT_NEAR(stats.simulated_network_us, expected, 1e-9);
-  store.FetchBatch(ids, stats);
+  store.FetchInto(ids, RowPointers(batch), stats);
   EXPECT_NEAR(stats.simulated_network_us, 2 * expected, 1e-9);
 }
 
@@ -127,7 +137,9 @@ TEST(ShardStoreTest, FetchOutOfRangeThrows) {
   const ShardedGraphStore store(g, 2, pool);
   IoStats stats;
   const graph::NodeId ids[1] = {static_cast<graph::NodeId>(g.NumNodes())};
-  EXPECT_THROW(store.FetchBatch(ids, stats), std::out_of_range);
+  std::vector<NodeAdjacency> batch(1);
+  EXPECT_THROW(store.FetchInto(ids, RowPointers(batch), stats),
+               std::out_of_range);
 }
 
 // ---------- PrefetchBuffer ----------
@@ -485,6 +497,50 @@ TEST(DistKlTest, RollbackFetchesNothing) {
   EXPECT_LE(dist.io.scan_requests,
             (1u + static_cast<std::uint64_t>(dist.kl.stats.passes)) * kShards);
   EXPECT_EQ(dist.io.scan_requests % kShards, 0u);
+}
+
+// The exact metered I/O of one distributed KL run and of one simnet
+// detection: the fetch order is a pure function of the bucket list's state
+// at each pop, so a kernel change that keeps the cut but moves a single
+// fetch, prefetch candidate or aggregate scan shows up here.
+TEST(DistKlTest, MeteredIoIsPinned) {
+  util::Rng rng(45);
+  const auto g = SmallAugmented(rng, 120);
+  std::vector<char> locked(g.NumNodes(), 0);
+  locked[0] = 1;
+  locked[5] = 1;
+  Cluster cluster(
+      {.num_workers = 3, .prefetch_batch = 8, .buffer_capacity = 64});
+  const ShardedGraphStore store(g, 3, cluster.Pool());
+  const auto dist = DistributedKl(store, RejectedInit(g), locked,
+                                  detect::KlConfig{.k = 1.0}, cluster);
+  EXPECT_EQ(dist.io.fetch_requests, 538u);
+  EXPECT_EQ(dist.io.nodes_fetched, 805u);
+  EXPECT_EQ(dist.io.cache_hits, 548u);
+  EXPECT_EQ(dist.io.cache_misses, 278u);
+  EXPECT_EQ(dist.io.scan_requests, 24u);
+  EXPECT_EQ(dist.io.bytes_transferred, 62040u);
+
+  util::Rng world_rng(55);
+  const auto legit =
+      gen::ErdosRenyi({.num_nodes = 400, .num_edges = 1600}, world_rng);
+  sim::ScenarioConfig scfg;
+  scfg.seed = 5;
+  scfg.num_fakes = 80;
+  const auto scenario = sim::BuildScenario(legit, scfg);
+  util::Rng seed_rng(6);
+  const auto seeds = scenario.SampleSeeds(10, 4, seed_rng);
+  detect::IterativeConfig cfg;
+  cfg.target_detections = 80;
+  cfg.maar.seed = 3;
+  ClusterConfig wired_cfg{
+      .num_workers = 3, .prefetch_batch = 32, .buffer_capacity = 512};
+  wired_cfg.transport = net::TransportKind::kSimNet;
+  wired_cfg.sim.seed = 42;
+  Cluster wired(wired_cfg);
+  const auto detected =
+      DetectFriendSpammersDistributed(scenario.graph, seeds, cfg, wired);
+  EXPECT_EQ(detected.io.wire.frames_sent, 4258u);
 }
 
 TEST(DistKlTest, PrefetchingReducesFetchRequests) {
