@@ -1,14 +1,14 @@
 // Serving-tier mixed-load benchmark for serve::AdmissionService.
 //
-// One run per (reclaim mode, reader count) configuration: the writer
-// ingests the attack event stream (auto-cutting epochs every
-// events_per_epoch events, detection off the hot path) while N reader
-// threads decide continuously against whichever epoch is published. After
-// ingest drains and a final forced epoch lands, readers run on until the
-// measurement window closes. Appends one "admission_<reclaim>_r<N>" record
-// per configuration with combined decisions/sec, writer ingest events/sec,
-// the mean epoch-publish stall (the only time ingest pauses), and merged
-// reader p50/p95/p99 decision latency.
+// One run per reader count: the writer ingests the attack event stream
+// (auto-cutting epochs every events_per_epoch events, detection off the
+// hot path) while N reader threads decide continuously against whichever
+// epoch is published through the hazard-pointer RCU cell (serve/rcu.h).
+// After ingest drains and a final forced epoch lands, readers run on until
+// the measurement window closes. Appends rows labelled readers=<N> with
+// combined decisions/sec, writer ingest events/sec, the mean epoch-publish
+// stall (the only time ingest pauses), and merged reader p50/p95/p99
+// decision latency.
 //
 // Divergence guard: every reader samples decisions (sender, verdict, score,
 // epoch id) into a bounded reservoir; after the run a serial
@@ -48,7 +48,8 @@ struct Sampled {
 };
 
 struct RunResult {
-  bench::AdmissionBenchRecord record;
+  int readers = 0;
+  std::vector<bench::BenchRecord> rows;
   std::vector<std::vector<Sampled>> sampled;  // per reader
 };
 
@@ -82,11 +83,10 @@ BenchWorkload MakeWorkload(const bench::ExperimentContext& ctx) {
   return w;
 }
 
-RunResult RunConfig(const BenchWorkload& w, serve::ReclaimMode reclaim,
-                    int readers, double min_window_seconds) {
+RunResult RunConfig(const BenchWorkload& w, int readers,
+                    double min_window_seconds) {
   serve::AdmissionConfig cfg;
   cfg.epoch = w.epoch;
-  cfg.reclaim = reclaim;
   cfg.grey_margin = 2.0;
   serve::AdmissionService svc(
       graph::GraphBuilder(w.log.NumNodes()).BuildAugmented(), w.seeds, cfg);
@@ -134,7 +134,6 @@ RunResult RunConfig(const BenchWorkload& w, serve::ReclaimMode reclaim,
   for (auto& t : threads) t.join();
   const double window_seconds = window.Seconds();
 
-  const serve::AdmissionStats stats = svc.Stats();
   util::LatencyHistogram merged;
   std::uint64_t decisions = 0;
   for (int r = 0; r < readers; ++r) {
@@ -142,28 +141,12 @@ RunResult RunConfig(const BenchWorkload& w, serve::ReclaimMode reclaim,
     decisions += decided[r];
   }
 
-  auto& rec = out.record;
-  rec.bench = "bench_admission";
-  rec.reclaim = serve::ReclaimModeName(reclaim);
-  rec.admission =
-      "admission_" + rec.reclaim + "_r" + std::to_string(readers);
-  rec.readers = readers;
-  rec.users = static_cast<std::int64_t>(w.log.NumNodes());
-  rec.events = static_cast<std::int64_t>(stats.events_ingested);
-  rec.decisions = static_cast<std::int64_t>(decisions);
-  rec.epochs = static_cast<std::int64_t>(stats.epochs_published);
-  rec.decisions_per_sec = static_cast<double>(decisions) / window_seconds;
-  rec.ingest_events_per_sec =
-      static_cast<double>(stats.events_ingested) / ingest_seconds;
-  rec.epoch_publish_stall_seconds =
-      stats.epochs_published > 0
-          ? stats.snapshot_seconds_total /
-                static_cast<double>(stats.epochs_published)
-          : 0.0;
-  rec.detect_seconds = stats.last_detect_seconds;
-  rec.p50_ns = static_cast<std::int64_t>(merged.P50());
-  rec.p95_ns = static_cast<std::int64_t>(merged.P95());
-  rec.p99_ns = static_cast<std::int64_t>(merged.P99());
+  out.readers = readers;
+  bench::AddAdmissionRows(
+      out.rows, "bench_admission",
+      {{"readers", std::to_string(readers)},
+       {"users", std::to_string(w.log.NumNodes())}},
+      svc.Stats(), decisions, window_seconds, ingest_seconds, merged);
   return out;
 }
 
@@ -234,42 +217,38 @@ int main() {
   const BenchWorkload w = MakeWorkload(ctx);
   const double window = ctx.fast ? 0.3 : 2.0;
 
-  struct Config {
-    serve::ReclaimMode reclaim;
-    int readers;
-  };
-  const std::vector<Config> configs =
-      ctx.fast ? std::vector<Config>{{serve::ReclaimMode::kHazard, 2},
-                                     {serve::ReclaimMode::kSharedPtr, 2}}
-               : std::vector<Config>{{serve::ReclaimMode::kHazard, 1},
-                                     {serve::ReclaimMode::kHazard, 4},
-                                     {serve::ReclaimMode::kHazard, 8},
-                                     {serve::ReclaimMode::kSharedPtr, 4}};
+  const std::vector<int> reader_counts =
+      ctx.fast ? std::vector<int>{2} : std::vector<int>{1, 4, 8};
 
   std::vector<RunResult> runs;
-  for (const Config& c : configs) {
-    runs.push_back(RunConfig(w, c.reclaim, c.readers, window));
+  for (const int readers : reader_counts) {
+    runs.push_back(RunConfig(w, readers, window));
   }
 
   // The guard runs before anything is appended: no record is emitted for a
   // run whose concurrent answers the serial replay cannot reproduce.
   DivergenceGuard(w, runs);
 
-  util::Table t({"reclaim", "readers", "decisions/s", "ingest ev/s",
-                 "publish stall us", "p50 ns", "p95 ns", "p99 ns",
-                 "epochs"});
+  const char* columns[] = {"decisions_per_sec", "ingest_events_per_sec",
+                           "epoch_publish_stall_us", "p50_ns",
+                           "p95_ns", "p99_ns", "epochs"};
+  util::Table t({"readers", "decisions/s", "ingest ev/s", "publish stall us",
+                 "p50 ns", "p95 ns", "p99 ns", "epochs"});
   t.set_precision(0);
-  std::vector<bench::AdmissionBenchRecord> records;
+  std::vector<bench::BenchRecord> records;
   for (const RunResult& run : runs) {
-    const auto& r = run.record;
-    t.AddRow({r.reclaim, static_cast<std::int64_t>(r.readers),
-              r.decisions_per_sec, r.ingest_events_per_sec,
-              r.epoch_publish_stall_seconds * 1e6, r.p50_ns, r.p95_ns,
-              r.p99_ns, static_cast<std::int64_t>(r.epochs)});
-    records.push_back(r);
+    std::vector<util::Table::Cell> row = {
+        static_cast<std::int64_t>(run.readers)};
+    for (const char* metric : columns) {
+      for (const bench::BenchRecord& r : run.rows) {
+        if (r.metric == metric) row.push_back(r.value);
+      }
+    }
+    t.AddRow(std::move(row));
+    records.insert(records.end(), run.rows.begin(), run.rows.end());
   }
   ctx.Emit("bench_admission", "Admission service mixed load (record actuals)",
            t);
-  bench::AppendAdmissionBenchJson(records);
+  bench::AppendBenchJson(records);
   return 0;
 }

@@ -119,8 +119,8 @@ int main() {
   // through the online admission service (serve/) with the layered policy
   // chain — per-sender token bucket in front of the epoch score threshold —
   // and measure what each layer does to fake vs legit senders at decision
-  // time. Appended to BENCH_maar.json as an "admission_fig16_serving"
-  // record alongside the figure.
+  // time. Appended to BENCH_maar.json as bench_fig16_defense_in_depth
+  // admission rows alongside the figure.
   {
     const auto& legit = bench::Dataset("facebook", ctx);
     auto cfg = bench::PaperAttackConfig(ctx);
@@ -185,30 +185,13 @@ int main() {
              " under the token-bucket + score-threshold chain",
              st);
 
-    const serve::AdmissionStats stats = svc.Stats();
-    bench::AdmissionBenchRecord rec;
-    rec.bench = "bench_fig16_defense_in_depth";
-    rec.admission = "admission_fig16_serving";
-    rec.reclaim = serve::ReclaimModeName(scfg.reclaim);
-    rec.readers = 1;
-    rec.users = static_cast<std::int64_t>(log.NumNodes());
-    rec.events = static_cast<std::int64_t>(stats.events_ingested);
-    rec.decisions = static_cast<std::int64_t>(reader.Decisions());
-    rec.epochs = static_cast<std::int64_t>(stats.epochs_published);
-    rec.decisions_per_sec =
-        static_cast<double>(reader.Decisions()) / decide_seconds;
-    rec.ingest_events_per_sec =
-        static_cast<double>(stats.events_ingested) / ingest_seconds;
-    rec.epoch_publish_stall_seconds =
-        stats.epochs_published > 0
-            ? stats.snapshot_seconds_total /
-                  static_cast<double>(stats.epochs_published)
-            : 0.0;
-    rec.detect_seconds = stats.last_detect_seconds;
-    rec.p50_ns = static_cast<std::int64_t>(reader.Latency().P50());
-    rec.p95_ns = static_cast<std::int64_t>(reader.Latency().P95());
-    rec.p99_ns = static_cast<std::int64_t>(reader.Latency().P99());
-    bench::AppendAdmissionBenchJson({rec});
+    std::vector<bench::BenchRecord> records;
+    bench::AddAdmissionRows(
+        records, "bench_fig16_defense_in_depth",
+        {{"readers", "1"}, {"users", std::to_string(log.NumNodes())}},
+        svc.Stats(), reader.Decisions(), decide_seconds, ingest_seconds,
+        reader.Latency());
+    bench::AppendBenchJson(records);
   }
   return 0;
 }

@@ -16,6 +16,8 @@
 // computes, only when. Any mismatch aborts the bench.
 #include <cstdlib>
 #include <iostream>
+#include <string>
+#include <vector>
 
 #include "detect/iterative.h"
 #include "harness.h"
@@ -93,33 +95,11 @@ int main() {
               static_cast<std::int64_t>(res.incremental_flags)});
   ctx.Emit("fig19_summary", "Figure 19c: time-to-detection summary", agg);
 
-  auto recall_at = [&](std::uint32_t r) {
-    for (const auto& cp : res.checkpoints) {
-      if (cp.requests == r) return cp.Recall();
-    }
-    return 0.0;
-  };
-  bench::TemporalBenchRecord ttd;
-  ttd.bench = "bench_fig19";
-  ttd.metric = "time_to_detection";
-  ttd.adversary = std::string(sim::AdversaryName(cfg.adversary));
-  ttd.users = static_cast<std::int64_t>(world.NumLegit());
-  ttd.spammers = static_cast<std::int64_t>(res.spammers_total);
-  ttd.requests = static_cast<std::int64_t>(res.total_spam_requests);
-  ttd.mean = res.mean_time_to_detection;
-  ttd.detected = static_cast<std::int64_t>(res.spammers_detected);
-  ttd.undetected =
-      static_cast<std::int64_t>(res.spammers_total - res.spammers_detected);
-  ttd.final_precision = res.curve.back().precision;
-  ttd.final_recall = res.curve.back().recall;
-  ttd.recall_at_5 = recall_at(5);
-  ttd.recall_at_10 = recall_at(10);
-  ttd.recall_at_20 = recall_at(20);
-  ttd.recall_at_50 = recall_at(50);
-  bench::TemporalBenchRecord harm = ttd;
-  harm.metric = "harm_before_detection";
-  harm.mean = res.mean_harm_before_detection;
-  bench::AppendTemporalBenchJson({ttd, harm});
+  std::vector<bench::BenchRecord> records;
+  bench::AddTemporalRows(records, "bench_fig19",
+                         std::string(sim::AdversaryName(cfg.adversary)),
+                         static_cast<std::int64_t>(world.NumLegit()), res);
+  bench::AppendBenchJson(records);
 
   std::cout << "\nShape check: recall climbs across epochs while"
                " time-to-detection stays a small fraction of the campaign"

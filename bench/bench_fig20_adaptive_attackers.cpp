@@ -112,33 +112,13 @@ int main() {
     std::abort();
   }
 
-  std::vector<bench::TemporalBenchRecord> records;
+  std::vector<bench::BenchRecord> records;
   for (const auto& run : runs) {
-    const auto& r = run.res;
-    bench::TemporalBenchRecord ttd;
-    ttd.bench = "bench_fig20";
-    ttd.metric = "time_to_detection";
-    ttd.adversary = std::string(sim::AdversaryName(run.kind));
-    ttd.users = run.users;
-    ttd.spammers = static_cast<std::int64_t>(r.spammers_total);
-    ttd.requests = static_cast<std::int64_t>(r.total_spam_requests);
-    ttd.mean = r.mean_time_to_detection;
-    ttd.detected = static_cast<std::int64_t>(r.spammers_detected);
-    ttd.undetected =
-        static_cast<std::int64_t>(r.spammers_total - r.spammers_detected);
-    ttd.final_precision = r.curve.back().precision;
-    ttd.final_recall = r.curve.back().recall;
-    ttd.recall_at_5 = recall_at(r, 5);
-    ttd.recall_at_10 = recall_at(r, 10);
-    ttd.recall_at_20 = recall_at(r, 20);
-    ttd.recall_at_50 = recall_at(r, 50);
-    bench::TemporalBenchRecord harm = ttd;
-    harm.metric = "harm_before_detection";
-    harm.mean = r.mean_harm_before_detection;
-    records.push_back(std::move(ttd));
-    records.push_back(std::move(harm));
+    bench::AddTemporalRows(records, "bench_fig20",
+                           std::string(sim::AdversaryName(run.kind)),
+                           run.users, run.res);
   }
-  bench::AppendTemporalBenchJson(records);
+  bench::AppendBenchJson(records);
 
   std::cout << "\nShape check: at least one adaptive strategy lands more harm"
                " or survives longer than the static campaign.\n";

@@ -1,15 +1,15 @@
 // Streaming subsystem benchmarks: event-ingest throughput through
 // stream::DeltaGraph and warm vs cold epoch re-detection latency through
-// engine::EpochDetector, appended to BENCH_maar.json as KernelBenchRecords
-// (kernels "stream_ingest", "epoch_cold", "epoch_warm"; epoch_warm.speedup
-// = cold seconds / warm seconds — the steady-state payoff of warm starts).
+// engine::EpochDetector, appended to BENCH_maar.json as BenchRecord rows
+// (kernels "stream_ingest", "epoch_cold", "epoch_warm"; cold seconds over
+// warm seconds is the steady-state payoff of warm starts).
 //
 // Divergence guards mirror bench_micro: the streamed graph must equal batch
 // construction, and a warm-start-disabled epoch must reproduce the batch
 // pipeline's detections bit-for-bit; any mismatch aborts the bench.
-#include <algorithm>
 #include <cstdlib>
 #include <iostream>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -30,7 +30,7 @@ int main() {
   std::vector<std::string> datasets = {"ca-HepTh"};
   if (!ctx.fast) datasets.push_back("synthetic");
 
-  std::vector<bench::KernelBenchRecord> records;
+  std::vector<bench::BenchRecord> records;
   for (const std::string& name : datasets) {
     const graph::SocialGraph& legit = bench::Dataset(name, ctx);
     sim::ScenarioConfig scfg;
@@ -45,34 +45,25 @@ int main() {
     const auto log = sim::GenerateChurnLog(scenario.log, churn);
     const auto batch_graph = log.BuildAugmentedGraph();
 
-    auto record = [&](const char* kernel, std::int64_t items, double seconds,
-                      double baseline_seconds) {
-      bench::KernelBenchRecord r;
-      r.bench = "bench_stream";
-      r.kernel = kernel;
-      r.users = static_cast<std::int64_t>(batch_graph.NumNodes());
-      r.edges =
-          static_cast<std::int64_t>(batch_graph.Friendships().NumEdges());
-      r.items = items;
-      r.seconds = seconds;
-      r.throughput = static_cast<double>(items) / std::max(seconds, 1e-9);
-      r.speedup = baseline_seconds / std::max(seconds, 1e-9);
-      std::cout << "bench_stream kernel=" << kernel << " dataset=" << name
-                << " items=" << r.items << " seconds=" << r.seconds
-                << " throughput=" << r.throughput << " speedup=" << r.speedup
-                << "\n";
-      records.push_back(std::move(r));
+    const std::map<std::string, std::string> labels = {
+        {"dataset", name},
+        {"users", std::to_string(batch_graph.NumNodes())},
+        {"edges", std::to_string(batch_graph.Friendships().NumEdges())}};
+    auto record = [&](const char* kernel, std::int64_t items,
+                      const std::vector<double>& samples) {
+      bench::AddKernelRows(records, "bench_stream", kernel, labels, items,
+                           samples);
     };
 
     // --- ingest throughput: overlay absorption + auto-compactions ---
     {
       const int reps = ctx.fast ? 3 : 5;
-      double best = 1e300;
+      std::vector<double> samples;
       for (int i = 0; i < reps; ++i) {
         stream::DeltaGraph d(log.NumNodes());
         util::WallTimer t;
         d.ApplyAll(log.Events());
-        best = std::min(best, t.Seconds());
+        samples.push_back(t.Seconds());
         d.Compact();
         if (d.Graph() != batch_graph) {
           std::cerr << "bench_stream: STREAMED GRAPH DIVERGED from batch\n";
@@ -80,7 +71,7 @@ int main() {
         }
       }
       record("stream_ingest", static_cast<std::int64_t>(log.NumEvents()),
-             best, best);
+             samples);
     }
 
     // --- epoch re-detection: cold batch vs warm-started epoch ---
@@ -129,11 +120,11 @@ int main() {
         std::cerr << "bench_stream: WARM EPOCH NEVER WARM-STARTED\n";
         std::abort();
       }
-      record("epoch_cold",
-             static_cast<std::int64_t>(cold.total_kl_runs), cold_s, cold_s);
+      record("epoch_cold", static_cast<std::int64_t>(cold.total_kl_runs),
+             {cold_s});
       record("epoch_warm",
              static_cast<std::int64_t>(warm_epoch.total_kl_runs),
-             warm_epoch.detect_seconds, cold_s);
+             {warm_epoch.detect_seconds});
       std::cout << "bench_stream dataset=" << name
                 << " warm-epoch speedup: " << cold_s << "s cold vs "
                 << warm_epoch.detect_seconds << "s warm ("
@@ -141,6 +132,6 @@ int main() {
                 << " KL runs)\n";
     }
   }
-  bench::AppendKernelBenchJson(records);
+  bench::AppendBenchJson(records);
   return 0;
 }

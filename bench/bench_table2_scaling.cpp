@@ -10,6 +10,9 @@
 // network traffic with graph size.
 #include <algorithm>
 #include <iostream>
+#include <map>
+#include <string>
+#include <vector>
 
 #include "detect/maar.h"
 #include "engine/cluster.h"
@@ -115,33 +118,31 @@ int main() {
       dcfg.maar = maar;
       const auto wire = engine::DetectFriendSpammersDistributed(
           scenario.graph, seeds, dcfg, wired);
-      std::vector<bench::TransportBenchRecord> rounds;
+      std::vector<bench::BenchRecord> rounds;
       for (std::size_t r = 0; r < wire.per_round.size(); ++r) {
         const engine::IoStats& io = wire.per_round[r];
-        rounds.push_back({.bench = "bench_table2_scaling",
-                          .transport = net::TransportKindName(
-                              net::TransportKind::kSimNet),
-                          .users = static_cast<std::int64_t>(n),
-                          .round = static_cast<std::int64_t>(r),
-                          .frames_sent =
-                              static_cast<std::int64_t>(io.wire.frames_sent),
-                          .frames_received = static_cast<std::int64_t>(
-                              io.wire.frames_received),
-                          .bytes_sent =
-                              static_cast<std::int64_t>(io.wire.bytes_sent),
-                          .bytes_received = static_cast<std::int64_t>(
-                              io.wire.bytes_received),
-                          .retries =
-                              static_cast<std::int64_t>(io.fetch_retries),
-                          .timeouts =
-                              static_cast<std::int64_t>(io.wire.timeouts),
-                          .reconnects =
-                              static_cast<std::int64_t>(io.wire.reconnects),
-                          .failovers =
-                              static_cast<std::int64_t>(io.shard_failovers),
-                          .busy_us = io.wire.busy_us});
+        const std::map<std::string, std::string> labels = {
+            {"transport",
+             net::TransportKindName(net::TransportKind::kSimNet)},
+            {"users", std::to_string(n)},
+            {"round", std::to_string(r)}};
+        auto add = [&](const char* metric, double value, const char* unit) {
+          rounds.push_back(
+              {"bench_table2_scaling", metric, value, unit, labels});
+        };
+        add("frames_sent", static_cast<double>(io.wire.frames_sent), "count");
+        add("frames_received", static_cast<double>(io.wire.frames_received),
+            "count");
+        add("bytes_sent", static_cast<double>(io.wire.bytes_sent), "bytes");
+        add("bytes_received", static_cast<double>(io.wire.bytes_received),
+            "bytes");
+        add("retries", static_cast<double>(io.fetch_retries), "count");
+        add("timeouts", static_cast<double>(io.wire.timeouts), "count");
+        add("reconnects", static_cast<double>(io.wire.reconnects), "count");
+        add("failovers", static_cast<double>(io.shard_failovers), "count");
+        add("busy_us", io.wire.busy_us, "us");
       }
-      bench::AppendTransportBenchJson(rounds);
+      bench::AppendBenchJson(rounds);
       std::cout << "wire probe (simnet, " << n << " users): "
                 << wire.per_round.size() << " rounds, "
                 << wire.io.wire.frames_sent << " frames, "

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -10,23 +11,25 @@
 #include <numeric>
 #include <span>
 #include <sstream>
-#include <unordered_map>
+#include <stdexcept>
 
 #include "baseline/votetrust.h"
 #include "detect/bucket_list.h"
 #include "detect/partition.h"
 #include "gen/synthetic_stream.h"
-#include "graph/builder.h"
 #include "graph/compressed_view.h"
 #include "graph/io.h"
 #include "graph/layout.h"
 #include "graph/snapshot.h"
 #include "metrics/classification.h"
 #include "metrics/ranking.h"
+#include "serve/admission.h"
+#include "study/early_detection.h"
 #include "util/buffer.h"
 #include "util/flags.h"
-#include "util/parse.h"
+#include "util/latency.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace rejecto::bench {
@@ -139,7 +142,7 @@ namespace {
 #endif
 
 // Scans a BENCH_maar.json body for the largest "run_id" value; 0 when the
-// file is missing, fresh, or predates the provenance stamps.
+// file is missing or fresh.
 std::uint64_t MaxRunId(const std::string& json) {
   static const std::string key = "\"run_id\": ";
   std::uint64_t max_id = 0;
@@ -156,68 +159,64 @@ std::uint64_t MaxRunId(const std::string& json) {
   return max_id;
 }
 
-// Reopens the flat JSON array in <REJECTO_JSON_DIR or cwd>/BENCH_maar.json
-// and appends the pre-rendered record objects (one per string, no leading
-// whitespace or trailing comma). Every record is stamped with the build's
-// git sha and a run_id one past the largest already in the file, so a
-// record's provenance (which commit, which append batch) survives the
-// file's whole accumulation history.
-void AppendBenchJsonRecords(const std::vector<std::string>& rendered) {
-  if (rendered.empty()) return;
-  const std::string dir =
-      util::GetEnvString("REJECTO_JSON_DIR").value_or(".");
-  const std::string path = dir + "/BENCH_maar.json";
+constexpr const char* kSpace = " \t\r\n";
 
-  std::string existing;
-  {
-    std::ifstream in(path);
-    std::stringstream ss;
-    ss << in.rdbuf();
-    existing = ss.str();
-  }
-  const std::uint64_t run_id = MaxRunId(existing) + 1;
-  const std::string stamp = std::string("{\"git_sha\": \"") + REJECTO_GIT_SHA +
-                            "\", \"run_id\": " + std::to_string(run_id) +
-                            ", ";
-  auto rtrim = [](std::string& s) {
-    while (!s.empty() && std::isspace(static_cast<unsigned char>(s.back()))) {
-      s.pop_back();
+// True when `json` is one top-level JSON array whose brackets and braces
+// balance outside strings, with only whitespace after the closing ']'. A
+// structural check, not a full parser: it tells a complete file from one
+// an interrupted writer cut short.
+bool IsJsonArray(const std::string& json) {
+  std::size_t i = json.find_first_not_of(kSpace);
+  if (i == std::string::npos || json[i] != '[') return false;
+  std::vector<char> open;
+  bool in_string = false;
+  for (; i < json.size(); ++i) {
+    const char c = json[i];
+    if (in_string) {
+      if (c == '\\') {
+        ++i;
+      } else if (c == '"') {
+        in_string = false;
+      }
+      continue;
     }
-  };
-  rtrim(existing);
-
-  std::ostringstream body;
-  bool first = true;
-  if (!existing.empty() && existing.front() == '[' &&
-      existing.back() == ']') {
-    existing.pop_back();  // reopen the array to append
-    rtrim(existing);
-    body << existing;
-    first = existing == "[";
-  } else {
-    body << "[";  // missing or malformed: start fresh
+    if (c == '"') {
+      in_string = true;
+    } else if (c == '[' || c == '{') {
+      open.push_back(c);
+    } else if (c == ']' || c == '}') {
+      if (open.empty() || open.back() != (c == ']' ? '[' : '{')) return false;
+      open.pop_back();
+      if (open.empty()) {
+        return json.find_first_not_of(kSpace, i + 1) == std::string::npos;
+      }
+    }
   }
-  for (const auto& r : rendered) {
-    if (!first) body << ",";
-    first = false;
-    body << "\n  " << stamp << r.substr(1);  // r starts with '{'
-  }
-  body << "\n]\n";
-  std::ofstream out(path, std::ios::trunc);
-  out << body.str();
+  return false;
 }
 
-}  // namespace
+void WriteJsonString(std::ostream& os, const std::string& s) {
+  os << '"';
+  for (const char c : s) {
+    if (c == '"' || c == '\\') {
+      os << '\\' << c;
+    } else if (static_cast<unsigned char>(c) < 0x20) {
+      static const char* hex = "0123456789abcdef";
+      os << "\\u00" << hex[(c >> 4) & 0xf] << hex[c & 0xf];
+    } else {
+      os << c;
+    }
+  }
+  os << '"';
+}
 
-namespace {
-
-// "VmHWM:    123456 kB" -> bytes; 0 when the key is absent (non-Linux) or
-// /proc is unavailable.
-std::uint64_t ProcStatusBytes(const char* key) {
+// Process peak resident set ("VmHWM:    123456 kB" in /proc/self/status)
+// in bytes; 0 when the key is absent (non-Linux) or /proc is unavailable.
+std::uint64_t PeakRssBytes() {
   std::ifstream in("/proc/self/status");
   std::string line;
   while (std::getline(in, line)) {
-    if (line.rfind(key, 0) != 0) continue;
+    if (line.rfind("VmHWM:", 0) != 0) continue;
     std::uint64_t kb = 0;
     for (char c : line) {
       if (std::isdigit(static_cast<unsigned char>(c))) {
@@ -231,191 +230,162 @@ std::uint64_t ProcStatusBytes(const char* key) {
 
 }  // namespace
 
-std::uint64_t PeakRssBytes() { return ProcStatusBytes("VmHWM:"); }
-std::uint64_t CurrentRssBytes() { return ProcStatusBytes("VmRSS:"); }
+void AppendBenchJson(const std::vector<BenchRecord>& records) {
+  if (records.empty()) return;
+  namespace fs = std::filesystem;
+  const fs::path path =
+      fs::path(util::GetEnvString("REJECTO_JSON_DIR").value_or(".")) /
+      "BENCH_maar.json";
 
-void AppendMaarBenchJson(const std::vector<MaarBenchRecord>& records) {
-  std::vector<std::string> rendered;
-  rendered.reserve(records.size());
-  for (const auto& r : records) {
-    std::ostringstream os;
-    os.precision(6);
-    os << std::fixed;
-    os << "{\"bench\": \"" << r.bench << "\", \"users\": " << r.users
-       << ", \"edges\": " << r.edges << ", \"threads\": " << r.threads
-       << ", \"seconds\": " << r.seconds << ", \"kl_runs\": " << r.kl_runs
-       << ", \"speedup\": " << r.speedup << "}";
-    rendered.push_back(os.str());
-  }
-  AppendBenchJsonRecords(rendered);
-}
-
-void AppendKernelBenchJson(const std::vector<KernelBenchRecord>& records) {
-  std::vector<std::string> rendered;
-  rendered.reserve(records.size());
-  for (const auto& r : records) {
-    std::ostringstream os;
-    os.precision(6);
-    os << std::fixed;
-    os << "{\"bench\": \"" << r.bench << "\", \"kernel\": \"" << r.kernel
-       << "\", \"users\": " << r.users << ", \"edges\": " << r.edges
-       << ", \"items\": " << r.items << ", \"seconds\": " << r.seconds
-       << ", \"seconds_median\": " << r.seconds_median
-       << ", \"throughput\": " << r.throughput
-       << ", \"speedup\": " << r.speedup
-       << ", \"peak_rss_bytes\": " << r.peak_rss_bytes
-       << ", \"mapped_bytes\": " << r.mapped_bytes << "}";
-    rendered.push_back(os.str());
-  }
-  AppendBenchJsonRecords(rendered);
-}
-
-void AppendTemporalBenchJson(const std::vector<TemporalBenchRecord>& records) {
-  std::vector<std::string> rendered;
-  rendered.reserve(records.size());
-  for (const auto& r : records) {
-    std::ostringstream os;
-    os.precision(6);
-    os << std::fixed;
-    os << "{\"bench\": \"" << r.bench << "\", \"metric\": \"" << r.metric
-       << "\", \"adversary\": \"" << r.adversary
-       << "\", \"users\": " << r.users << ", \"spammers\": " << r.spammers
-       << ", \"requests\": " << r.requests << ", \"mean\": " << r.mean
-       << ", \"detected\": " << r.detected
-       << ", \"undetected\": " << r.undetected
-       << ", \"final_precision\": " << r.final_precision
-       << ", \"final_recall\": " << r.final_recall
-       << ", \"recall_at_5\": " << r.recall_at_5
-       << ", \"recall_at_10\": " << r.recall_at_10
-       << ", \"recall_at_20\": " << r.recall_at_20
-       << ", \"recall_at_50\": " << r.recall_at_50 << "}";
-    rendered.push_back(os.str());
-  }
-  AppendBenchJsonRecords(rendered);
-}
-
-void AppendTransportBenchJson(const std::vector<TransportBenchRecord>& records) {
-  std::vector<std::string> rendered;
-  rendered.reserve(records.size());
-  for (const auto& r : records) {
-    std::ostringstream os;
-    os.precision(6);
-    os << std::fixed;
-    os << "{\"bench\": \"" << r.bench << "\", \"transport\": \""
-       << r.transport << "\", \"users\": " << r.users
-       << ", \"round\": " << r.round
-       << ", \"frames_sent\": " << r.frames_sent
-       << ", \"frames_received\": " << r.frames_received
-       << ", \"bytes_sent\": " << r.bytes_sent
-       << ", \"bytes_received\": " << r.bytes_received
-       << ", \"retries\": " << r.retries << ", \"timeouts\": " << r.timeouts
-       << ", \"reconnects\": " << r.reconnects
-       << ", \"failovers\": " << r.failovers
-       << ", \"busy_us\": " << r.busy_us << "}";
-    rendered.push_back(os.str());
-  }
-  AppendBenchJsonRecords(rendered);
-}
-
-void AppendAdmissionBenchJson(const std::vector<AdmissionBenchRecord>& records) {
-  std::vector<std::string> rendered;
-  rendered.reserve(records.size());
-  for (const auto& r : records) {
-    std::ostringstream os;
-    os.precision(6);
-    os << std::fixed;
-    os << "{\"bench\": \"" << r.bench << "\", \"admission\": \""
-       << r.admission << "\", \"reclaim\": \"" << r.reclaim
-       << "\", \"readers\": " << r.readers << ", \"users\": " << r.users
-       << ", \"events\": " << r.events
-       << ", \"decisions\": " << r.decisions << ", \"epochs\": " << r.epochs
-       << ", \"decisions_per_sec\": " << r.decisions_per_sec
-       << ", \"ingest_events_per_sec\": " << r.ingest_events_per_sec
-       << ", \"epoch_publish_stall_seconds\": "
-       << r.epoch_publish_stall_seconds
-       << ", \"detect_seconds\": " << r.detect_seconds
-       << ", \"p50_ns\": " << r.p50_ns << ", \"p95_ns\": " << r.p95_ns
-       << ", \"p99_ns\": " << r.p99_ns << "}";
-    rendered.push_back(os.str());
-  }
-  AppendBenchJsonRecords(rendered);
-}
-
-void RunMaarSpeedupProbe(const std::string& bench_name,
-                         const graph::AugmentedGraph& g,
-                         detect::MaarConfig config,
-                         const std::vector<int>& threads_list) {
-  std::vector<MaarBenchRecord> records;
-  double serial_seconds = 0.0;
-  std::vector<char> reference_mask;
-  for (int t : threads_list) {
-    config.num_threads = t;
-    detect::MaarSolver solver(g, {}, config);
-    const detect::MaarCut cut = solver.Solve();
-    if (records.empty()) {
-      serial_seconds = cut.total_seconds;
-      reference_mask = cut.in_u;
-    } else if (cut.in_u != reference_mask) {
-      std::cerr << bench_name << ": PARALLEL SWEEP DETERMINISM VIOLATION at "
-                << t << " threads\n";
-      std::abort();
+  std::string existing;
+  if (fs::exists(path)) {
+    std::ifstream in(path);
+    std::stringstream ss;
+    ss << in.rdbuf();
+    existing = ss.str();
+    if (!IsJsonArray(existing)) {
+      throw std::runtime_error("AppendBenchJson: " + path.string() +
+                               " is not a well-formed JSON array; refusing "
+                               "to overwrite it");
     }
-    MaarBenchRecord r;
-    r.bench = bench_name;
-    r.users = static_cast<std::int64_t>(g.NumNodes());
-    r.edges = static_cast<std::int64_t>(g.Friendships().NumEdges());
-    r.threads = t;
-    r.seconds = cut.total_seconds;
-    r.kl_runs = cut.kl_runs;
-    r.speedup = serial_seconds / std::max(cut.total_seconds, 1e-9);
-    std::cout << bench_name << " MAAR sweep: users=" << r.users
-              << " threads=" << t << " seconds=" << r.seconds
-              << " kl_runs=" << r.kl_runs << " speedup=" << r.speedup
-              << "\n";
-    records.push_back(std::move(r));
   }
-  AppendMaarBenchJson(records);
+
+  std::ostringstream body;
+  bool first = true;
+  if (existing.empty()) {
+    body << "[";
+  } else {
+    // Reopen the array: drop the closing ']' and any whitespace before it.
+    existing.erase(existing.find_last_not_of(kSpace));
+    existing.erase(existing.find_last_not_of(kSpace) + 1);
+    body << existing;
+    first = existing.back() == '[';
+  }
+  const std::uint64_t run_id = MaxRunId(existing) + 1;
+  body.precision(10);
+  for (const BenchRecord& r : records) {
+    body << (first ? "\n  " : ",\n  ");
+    first = false;
+    body << "{\"git_sha\": ";
+    WriteJsonString(body, REJECTO_GIT_SHA);
+    body << ", \"run_id\": " << run_id
+         << ", \"cores\": " << util::HardwareThreads() << ", \"bench\": ";
+    WriteJsonString(body, r.bench);
+    body << ", \"metric\": ";
+    WriteJsonString(body, r.metric);
+    body << ", \"value\": ";
+    if (std::isfinite(r.value)) {
+      body << r.value;
+    } else {
+      body << "null";
+    }
+    body << ", \"unit\": ";
+    WriteJsonString(body, r.unit);
+    body << ", \"labels\": {";
+    const char* sep = "";
+    for (const auto& [key, value] : r.labels) {
+      body << sep;
+      WriteJsonString(body, key);
+      body << ": ";
+      WriteJsonString(body, value);
+      sep = ", ";
+    }
+    body << "}}";
+  }
+  body << "\n]\n";
+
+  // Write beside the target and rename over it: a reader (or a crash) sees
+  // either the old array or the new one, never a partial file.
+  const fs::path tmp = path.string() + ".tmp";
+  {
+    std::ofstream out(tmp, std::ios::trunc);
+    out << body.str();
+    out.close();
+    if (!out) {
+      throw std::runtime_error("AppendBenchJson: cannot write " +
+                               tmp.string());
+    }
+  }
+  fs::rename(tmp, path);
 }
 
-namespace {
-
-// Median of a rep-sample set; the min stays the headline number (classic
-// min-of-reps noise rejection), the median is reported alongside so a run
-// with one lucky rep on a noisy box is visible in the record itself.
-double MedianSeconds(std::vector<double> samples) {
-  if (samples.empty()) return 0.0;
-  std::sort(samples.begin(), samples.end());
-  const std::size_t mid = samples.size() / 2;
-  if (samples.size() % 2 == 1) return samples[mid];
-  return 0.5 * (samples[mid - 1] + samples[mid]);
+void AddKernelRows(std::vector<BenchRecord>& out, const std::string& bench,
+                   const std::string& kernel,
+                   std::map<std::string, std::string> labels,
+                   std::int64_t items, const std::vector<double>& samples) {
+  std::vector<double> sorted = samples;
+  std::sort(sorted.begin(), sorted.end());
+  const std::size_t mid = sorted.size() / 2;
+  const double min_s = sorted.front();
+  const double median_s = sorted.size() % 2 == 1
+                              ? sorted[mid]
+                              : 0.5 * (sorted[mid - 1] + sorted[mid]);
+  const double throughput =
+      static_cast<double>(items) / std::max(min_s, 1e-9);
+  labels["kernel"] = kernel;
+  labels["items"] = std::to_string(items);
+  out.push_back({bench, "seconds", min_s, "s", labels});
+  out.push_back({bench, "seconds_median", median_s, "s", labels});
+  out.push_back({bench, "throughput", throughput, "items/s", labels});
+  std::cout << bench << " kernel=" << kernel << " items=" << items
+            << " seconds=" << min_s << " median=" << median_s
+            << " throughput=" << throughput << "\n";
 }
 
-// One emitted kernel record + stdout line, shared by the probes below.
-void PushKernelRecord(std::vector<KernelBenchRecord>& records,
-                      const std::string& bench_name, const char* kernel,
-                      const graph::AugmentedGraph& g, std::int64_t items,
-                      double seconds, double seconds_median,
-                      double baseline_seconds) {
-  KernelBenchRecord r;
-  r.bench = bench_name;
-  r.kernel = kernel;
-  r.users = static_cast<std::int64_t>(g.NumNodes());
-  r.edges = static_cast<std::int64_t>(g.Friendships().NumEdges());
-  r.items = items;
-  r.seconds = seconds;
-  r.seconds_median = seconds_median;
-  r.throughput = static_cast<double>(items) / std::max(seconds, 1e-9);
-  r.speedup = baseline_seconds / std::max(seconds, 1e-9);
-  std::cout << bench_name << " kernel=" << kernel << " users=" << r.users
-            << " items=" << r.items << " seconds=" << r.seconds
-            << " median=" << r.seconds_median
-            << " throughput=" << r.throughput << " speedup=" << r.speedup
-            << "\n";
-  records.push_back(std::move(r));
+void AddTemporalRows(std::vector<BenchRecord>& out, const std::string& bench,
+                     const std::string& adversary, std::int64_t users,
+                     const study::EarlyDetectionResult& res) {
+  const std::map<std::string, std::string> labels = {
+      {"adversary", adversary},
+      {"users", std::to_string(users)},
+      {"spammers", std::to_string(res.spammers_total)},
+      {"requests", std::to_string(res.total_spam_requests)}};
+  auto add = [&](const std::string& metric, double value, const char* unit) {
+    out.push_back({bench, metric, value, unit, labels});
+  };
+  add("time_to_detection", res.mean_time_to_detection, "requests");
+  add("harm_before_detection", res.mean_harm_before_detection, "requests");
+  add("detected", static_cast<double>(res.spammers_detected), "count");
+  add("undetected",
+      static_cast<double>(res.spammers_total - res.spammers_detected),
+      "count");
+  add("final_precision", res.curve.back().precision, "fraction");
+  add("final_recall", res.curve.back().recall, "fraction");
+  for (const std::uint32_t r : {5u, 10u, 20u, 50u}) {
+    double recall = 0.0;
+    for (const auto& cp : res.checkpoints) {
+      if (cp.requests == r) recall = cp.Recall();
+    }
+    add("recall_at_" + std::to_string(r), recall, "fraction");
+  }
 }
 
-// Times one switch-sequence run of the fused kernel on `g`; returns the
-// final objective so callers can cross-check runs on relaid-out copies.
+void AddAdmissionRows(std::vector<BenchRecord>& out, const std::string& bench,
+                      const std::map<std::string, std::string>& labels,
+                      const serve::AdmissionStats& stats,
+                      std::uint64_t decisions, double decide_seconds,
+                      double ingest_seconds,
+                      const util::LatencyHistogram& latency) {
+  auto add = [&](const char* metric, double value, const char* unit) {
+    out.push_back({bench, metric, value, unit, labels});
+  };
+  const auto epochs = static_cast<double>(stats.epochs_published);
+  add("decisions_per_sec", static_cast<double>(decisions) / decide_seconds,
+      "1/s");
+  add("ingest_events_per_sec",
+      static_cast<double>(stats.events_ingested) / ingest_seconds,
+      "events/s");
+  add("epoch_publish_stall_us",
+      epochs > 0 ? 1e6 * stats.snapshot_seconds_total / epochs : 0.0, "us");
+  add("detect_seconds", stats.last_detect_seconds, "s");
+  add("p50_ns", static_cast<double>(latency.P50()), "ns");
+  add("p95_ns", static_cast<double>(latency.P95()), "ns");
+  add("p99_ns", static_cast<double>(latency.P99()), "ns");
+  add("events", static_cast<double>(stats.events_ingested), "count");
+  add("decisions", static_cast<double>(decisions), "count");
+  add("epochs", epochs, "count");
+}
+
 double RunSwitchSequence(const graph::AugmentedGraph& g,
                          const std::vector<char>& init,
                          const std::vector<graph::NodeId>& seq, double k,
@@ -440,60 +410,47 @@ double RunSwitchSequence(const graph::AugmentedGraph& g,
   return p.Objective(k);
 }
 
-// The istringstream-based edge-list loader the string_view scanner
-// replaced, kept verbatim as the text_load_old baseline (mirrors the
-// kl_switch_old convention: old code lives on in the bench that proves the
-// replacement's speedup).
-graph::AugmentedGraph OldTextLoad(const std::string& friendships_path,
-                                  const std::string& rejections_path) {
-  graph::GraphBuilder builder;
-  std::unordered_map<std::uint64_t, graph::NodeId> dense;
-  std::vector<std::uint64_t> original;
-  std::string context;
-  auto intern = [&](std::uint64_t raw) -> graph::NodeId {
-    auto [it, inserted] = dense.try_emplace(raw, builder.NumNodes());
-    if (inserted) {
-      builder.AddNode();
-      original.push_back(raw);
+void RunMaarSpeedupProbe(const std::string& bench_name,
+                         const graph::AugmentedGraph& g,
+                         detect::MaarConfig config,
+                         const std::vector<int>& threads_list) {
+  std::vector<BenchRecord> records;
+  double serial_seconds = 0.0;
+  std::vector<char> reference_mask;
+  for (int t : threads_list) {
+    config.num_threads = t;
+    detect::MaarSolver solver(g, {}, config);
+    const detect::MaarCut cut = solver.Solve();
+    if (records.empty()) {
+      serial_seconds = cut.total_seconds;
+      reference_mask = cut.in_u;
+    } else if (cut.in_u != reference_mask) {
+      std::cerr << bench_name << ": PARALLEL SWEEP DETERMINISM VIOLATION at "
+                << t << " threads\n";
+      std::abort();
     }
-    return it->second;
-  };
-  auto parse = [&](const std::string& path, bool friendships) {
-    std::ifstream in(path);
-    if (!in) {
-      throw std::runtime_error("OldTextLoad: cannot open " + path);
-    }
-    std::string line;
-    std::size_t lineno = 0;
-    while (std::getline(in, line)) {
-      ++lineno;
-      if (line.empty() || line[0] == '#') continue;
-      context = "LoadAugmentedGraph: " + path + " line " +
-                std::to_string(lineno);
-      std::istringstream ls(line);
-      std::string a_tok, b_tok, extra_tok;
-      if (!(ls >> a_tok >> b_tok)) {
-        throw std::runtime_error(context + ": expected two node ids");
-      }
-      const std::uint64_t a = util::ParseU64Checked(a_tok, context);
-      const std::uint64_t b = util::ParseU64Checked(b_tok, context);
-      if (ls >> extra_tok) {
-        throw std::runtime_error(context + ": trailing token '" + extra_tok +
-                                 "' after edge");
-      }
-      if (a == b) continue;
-      const graph::NodeId ua = intern(a);
-      const graph::NodeId ub = intern(b);
-      if (friendships) {
-        builder.AddFriendship(ua, ub);
-      } else {
-        builder.AddRejection(ua, ub);
-      }
-    }
-  };
-  parse(friendships_path, /*friendships=*/true);
-  parse(rejections_path, /*friendships=*/false);
-  return builder.BuildAugmented();
+    const std::map<std::string, std::string> labels = {
+        {"probe", "maar_sweep"},
+        {"users", std::to_string(g.NumNodes())},
+        {"edges", std::to_string(g.Friendships().NumEdges())},
+        {"threads", std::to_string(t)}};
+    records.push_back({bench_name, "seconds", cut.total_seconds, "s", labels});
+    records.push_back({bench_name, "kl_runs",
+                       static_cast<double>(cut.kl_runs), "count", labels});
+    std::cout << bench_name << " MAAR sweep: users=" << g.NumNodes()
+              << " threads=" << t << " seconds=" << cut.total_seconds
+              << " kl_runs=" << cut.kl_runs << " speedup="
+              << serial_seconds / std::max(cut.total_seconds, 1e-9) << "\n";
+  }
+  AppendBenchJson(records);
+}
+
+namespace {
+
+// The workload labels every graph probe's rows carry.
+std::map<std::string, std::string> GraphLabels(const graph::AugmentedGraph& g) {
+  return {{"users", std::to_string(g.NumNodes())},
+          {"edges", std::to_string(g.Friendships().NumEdges())}};
 }
 
 }  // namespace
@@ -592,18 +549,15 @@ void RunLayoutKernelProbe(const std::string& bench_name,
       std::abort();
     }
   }
-  const double shuf_s =
-      *std::min_element(shuf_samples.begin(), shuf_samples.end());
-  const double bfs_s =
-      *std::min_element(bfs_samples.begin(), bfs_samples.end());
 
-  std::vector<KernelBenchRecord> records;
+  std::vector<BenchRecord> records;
   const auto switches = static_cast<std::int64_t>(seq.size());
-  PushKernelRecord(records, bench_name, "layout_identity", g, switches,
-                   shuf_s, MedianSeconds(shuf_samples), shuf_s);
-  PushKernelRecord(records, bench_name, "layout_bfs", g, switches, bfs_s,
-                   MedianSeconds(bfs_samples), shuf_s);
-  AppendKernelBenchJson(records);
+  const std::map<std::string, std::string> labels = GraphLabels(g);
+  AddKernelRows(records, bench_name, "layout_identity", labels, switches,
+                shuf_samples);
+  AddKernelRows(records, bench_name, "layout_bfs", labels, switches,
+                bfs_samples);
+  AppendBenchJson(records);
 }
 
 void RunSnapshotLoadProbe(const std::string& bench_name,
@@ -630,25 +584,23 @@ void RunSnapshotLoadProbe(const std::string& bench_name,
   const std::int64_t items = static_cast<std::int64_t>(
       g.Friendships().NumEdges() + g.Rejections().NumArcs());
   const int reps = fast ? 2 : 3;
-  std::vector<double> old_samples, new_samples, snap_samples;
+  std::vector<double> text_samples, snap_samples;
   for (int i = 0; i < reps; ++i) {
-    util::WallTimer t_old;
-    const graph::AugmentedGraph old_loaded = OldTextLoad(fr_path, rej_path);
-    old_samples.push_back(t_old.Seconds());
-
-    util::WallTimer t_new;
+    util::WallTimer t_text;
     const graph::LoadedAugmentedGraph loaded =
         graph::LoadAugmentedGraph(fr_path, rej_path);
-    new_samples.push_back(t_new.Seconds());
+    text_samples.push_back(t_text.Seconds());
 
     util::WallTimer t_snap;
     const graph::Snapshot snap = graph::LoadSnapshot(snap_path);
     snap_samples.push_back(t_snap.Seconds());
 
-    // Both text loaders intern in the same order, so their graphs must be
-    // CSR-identical; the snapshot must reproduce g exactly.
-    if (loaded.graph != old_loaded) {
-      std::cerr << bench_name << ": TEXT LOADER DIVERGED\n";
+    // The text loader interns ids in file order, so its graph is g up to a
+    // relabeling: the edge and arc counts must match. The snapshot must
+    // reproduce g exactly.
+    if (loaded.graph.Friendships().NumEdges() != g.Friendships().NumEdges() ||
+        loaded.graph.Rejections().NumArcs() != g.Rejections().NumArcs()) {
+      std::cerr << bench_name << ": TEXT LOADER LOST EDGES\n";
       std::abort();
     }
     if (snap.graph != g || !snap.layout.IsIdentity()) {
@@ -659,18 +611,13 @@ void RunSnapshotLoadProbe(const std::string& bench_name,
   std::error_code ec;
   fs::remove_all(dir, ec);  // best-effort scratch cleanup
 
-  const double old_s = *std::min_element(old_samples.begin(), old_samples.end());
-  const double new_s = *std::min_element(new_samples.begin(), new_samples.end());
-  const double snap_s =
-      *std::min_element(snap_samples.begin(), snap_samples.end());
-  std::vector<KernelBenchRecord> records;
-  PushKernelRecord(records, bench_name, "text_load_old", g, items, old_s,
-                   MedianSeconds(old_samples), old_s);
-  PushKernelRecord(records, bench_name, "text_load", g, items, new_s,
-                   MedianSeconds(new_samples), old_s);
-  PushKernelRecord(records, bench_name, "snapshot_load", g, items, snap_s,
-                   MedianSeconds(snap_samples), new_s);
-  AppendKernelBenchJson(records);
+  std::vector<BenchRecord> records;
+  const std::map<std::string, std::string> labels = GraphLabels(g);
+  AddKernelRows(records, bench_name, "text_load", labels, items,
+                text_samples);
+  AddKernelRows(records, bench_name, "snapshot_load", labels, items,
+                snap_samples);
+  AppendBenchJson(records);
 }
 
 void RunCompressedSnapshotProbe(const std::string& bench_name,
@@ -774,23 +721,22 @@ void RunCompressedSnapshotProbe(const std::string& bench_name,
     std::abort();
   }
 
-  const double v1_s =
-      *std::min_element(v1_samples.begin(), v1_samples.end());
-  const double v2_s =
-      *std::min_element(v2_samples.begin(), v2_samples.end());
-  std::vector<KernelBenchRecord> records;
-  PushKernelRecord(records, bench_name, "snapshot_compressed_load", g, items,
-                   v2_s, MedianSeconds(v2_samples), v1_s);
-  records.back().mapped_bytes =
-      static_cast<std::int64_t>(view.MappedBytes());
-  PushKernelRecord(records, bench_name, "detect_ram", g, items, ram_s, ram_s,
-                   ram_s);
-  PushKernelRecord(records, bench_name, "detect_compressed", g, items, mm_s,
-                   mm_s, ram_s);
-  records.back().peak_rss_bytes = static_cast<std::int64_t>(PeakRssBytes());
-  records.back().mapped_bytes =
-      static_cast<std::int64_t>(view.MappedBytes());
-  AppendKernelBenchJson(records);
+  std::vector<BenchRecord> records;
+  std::map<std::string, std::string> labels = GraphLabels(g);
+  AddKernelRows(records, bench_name, "snapshot_load_v1", labels, items,
+                v1_samples);
+  AddKernelRows(records, bench_name, "snapshot_compressed_load", labels,
+                items, v2_samples);
+  AddKernelRows(records, bench_name, "detect_ram", labels, items, {ram_s});
+  AddKernelRows(records, bench_name, "detect_compressed", labels, items,
+                {mm_s});
+  labels["kernel"] = "detect_compressed";
+  records.push_back({bench_name, "peak_rss_bytes",
+                     static_cast<double>(PeakRssBytes()), "bytes", labels});
+  records.push_back({bench_name, "mapped_bytes",
+                     static_cast<double>(view.MappedBytes()), "bytes",
+                     labels});
+  AppendBenchJson(records);
 
   std::error_code ec;
   fs::remove_all(dir, ec);  // best-effort scratch cleanup
@@ -875,22 +821,20 @@ void RunCompressedCeilingProbe(const std::string& bench_name) {
     std::abort();
   }
 
-  KernelBenchRecord r;
-  r.bench = bench_name;
-  r.kernel = "compressed_scan_100m";
-  r.users = static_cast<std::int64_t>(cfg.num_nodes);
-  r.edges = static_cast<std::int64_t>(stats.num_edges);
-  r.items = static_cast<std::int64_t>(stats.num_edges + stats.num_arcs);
-  r.seconds = scan_s;
-  r.seconds_median = scan_s;
-  r.throughput = static_cast<double>(r.items) / std::max(scan_s, 1e-9);
-  r.speedup = 1.0;
-  r.peak_rss_bytes = static_cast<std::int64_t>(peak);
-  r.mapped_bytes = static_cast<std::int64_t>(view.MappedBytes());
-  std::cout << bench_name << " kernel=" << r.kernel << " users=" << r.users
-            << " items=" << r.items << " seconds=" << r.seconds
-            << " throughput=" << r.throughput << "\n";
-  AppendKernelBenchJson({r});
+  std::vector<BenchRecord> records;
+  std::map<std::string, std::string> labels = {
+      {"users", std::to_string(cfg.num_nodes)},
+      {"edges", std::to_string(stats.num_edges)}};
+  AddKernelRows(records, bench_name, "compressed_scan_100m", labels,
+                static_cast<std::int64_t>(stats.num_edges + stats.num_arcs),
+                {scan_s});
+  labels["kernel"] = "compressed_scan_100m";
+  records.push_back({bench_name, "peak_rss_bytes", static_cast<double>(peak),
+                     "bytes", labels});
+  records.push_back({bench_name, "mapped_bytes",
+                     static_cast<double>(view.MappedBytes()), "bytes",
+                     labels});
+  AppendBenchJson(records);
 
   std::error_code ec;
   fs::remove_all(dir, ec);  // best-effort scratch cleanup

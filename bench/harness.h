@@ -8,11 +8,14 @@
 //   REJECTO_SEED=<u64>    experiment seed (default 42)
 //   REJECTO_CSV_DIR=<dir> additionally write each table as CSV
 //   REJECTO_THREADS=<n>   MAAR sweep threads (0 = hardware concurrency)
-//   REJECTO_JSON_DIR=<dir> where BENCH_maar.json is written (default cwd)
+//   REJECTO_JSON_DIR=<dir> where BENCH_maar.json is written (default cwd);
+//                         every measurement lands there as BenchRecord rows
 //   REJECTO_LAYOUT=<p>    vertex-layout policy: identity (default) or bfs;
 //                         results are invariant, only locality changes
 #pragma once
 
+#include <cstdint>
+#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -22,6 +25,16 @@
 #include "graph/social_graph.h"
 #include "sim/scenario.h"
 #include "util/table.h"
+
+namespace rejecto::serve {
+struct AdmissionStats;
+}  // namespace rejecto::serve
+namespace rejecto::study {
+struct EarlyDetectionResult;
+}  // namespace rejecto::study
+namespace rejecto::util {
+class LatencyHistogram;
+}  // namespace rejecto::util
 
 namespace rejecto::bench {
 
@@ -72,139 +85,78 @@ std::vector<double> Sweep(std::vector<double> full,
 // mode) or just ca-HepTh (fast mode).
 std::vector<std::string> AppendixDatasets(const ExperimentContext& ctx);
 
-// One MAAR-sweep timing sample for the serial-vs-parallel speedup record.
-struct MaarBenchRecord {
-  std::string bench;     // emitting binary, e.g. "bench_micro"
-  std::int64_t users = 0;
-  std::int64_t edges = 0;
-  int threads = 1;
-  double seconds = 0.0;
-  int kl_runs = 0;
-  double speedup = 1.0;  // serial (threads=1) seconds / this run's seconds
+// One row of BENCH_maar.json: a single named measurement with its unit,
+// plus string labels saying what was measured (kernel, dataset, readers,
+// adversary, users, ...). A measurement with several numbers is several
+// rows sharing labels, and a ratio between two paths is read off their two
+// rows rather than stored. This is the name/value/unit shape of
+// perfbench's result line.
+struct BenchRecord {
+  std::string bench;   // emitting binary, e.g. "bench_micro"
+  std::string metric;  // e.g. "seconds", "decisions_per_sec"
+  double value = 0.0;
+  std::string unit;    // e.g. "s", "1/s", "ns", "bytes", "count"
+  std::map<std::string, std::string> labels;
 };
 
-// Appends the records to <REJECTO_JSON_DIR or cwd>/BENCH_maar.json, kept as
-// one flat JSON array so bench_micro and bench_table2_scaling can both
-// contribute to the same machine-readable file. Every appended record is
-// stamped with provenance keys: "git_sha" (the short commit sha the harness
-// was built from) and "run_id" (one past the largest run_id already in the
-// file, so ids increase monotonically across append batches and survive
-// mixed-binary accumulation).
-void AppendMaarBenchJson(const std::vector<MaarBenchRecord>& records);
+// Appends the records to <REJECTO_JSON_DIR or cwd>/BENCH_maar.json, one
+// flat JSON array every bench binary contributes to. Each row is stamped
+// with "git_sha" (the short commit the harness was built from), "run_id"
+// (one past the largest run_id already in the file, so ids increase across
+// append batches and binaries) and "cores" (hardware threads). The grown
+// array is written to a temporary file and renamed over the old one, so an
+// interrupted run leaves the earlier records intact. An existing file that
+// is not a well-formed JSON array throws std::runtime_error and is left
+// untouched.
+void AppendBenchJson(const std::vector<BenchRecord>& records);
 
-// One data-structure kernel timing sample: the fused-vs-unfused KL switch
-// kernel and the CSR-filter-vs-GraphBuilder compaction, appended to the
-// same BENCH_maar.json array as the MAAR sweep records (records are
-// distinguished by the presence of the "kernel" key).
-struct KernelBenchRecord {
-  std::string bench;          // emitting binary, e.g. "bench_micro"
-  std::string kernel;         // "kl_switch_old", "kl_switch_fused",
-                              // "compact_builder", "compact_csr",
-                              // "cut_count_scalar/avx2", "merge_scalar/avx2"
-  std::int64_t users = 0;
-  std::int64_t edges = 0;
-  std::int64_t items = 0;     // work units: switches applied / nodes kept
-  double seconds = 0.0;         // min of reps (the headline number)
-  double seconds_median = 0.0;  // median of reps (noise indicator run-to-run)
-  double throughput = 0.0;    // items / seconds
-  double speedup = 1.0;       // old-kernel seconds / this kernel's seconds
+// Adds the rows for one timed kernel to `out`: "seconds" (min of the rep
+// samples, the headline: the kernels are deterministic, so rep-to-rep
+// spread is interference), "seconds_median" (the noise indicator) and
+// "throughput" (items / min seconds). Labels: `labels` plus "kernel" and
+// "items". Prints a one-line summary to stdout.
+void AddKernelRows(std::vector<BenchRecord>& out, const std::string& bench,
+                   const std::string& kernel,
+                   std::map<std::string, std::string> labels,
+                   std::int64_t items, const std::vector<double>& samples);
 
-  // Memory profile of the probed operation (0 = not measured). peak_rss is
-  // the process VmHWM after the run — the number the out-of-core path's
-  // "bounded RSS" claim is about; mapped is the bytes the probe mmapped
-  // (file size for snapshot views — residency is what stays small).
-  std::int64_t peak_rss_bytes = 0;
-  std::int64_t mapped_bytes = 0;
-};
+// Adds the rows for one temporal early-detection run (study/
+// early_detection.h): "time_to_detection" (mean over detected spammers)
+// and "harm_before_detection" (mean over all), in spam requests, plus the
+// detected/undetected counts, the last epoch's precision and recall, and
+// the sub-epoch checkpoint recall at 5/10/20/50 requests. Labels:
+// adversary, users, spammers, requests.
+void AddTemporalRows(std::vector<BenchRecord>& out, const std::string& bench,
+                     const std::string& adversary, std::int64_t users,
+                     const study::EarlyDetectionResult& res);
 
-void AppendKernelBenchJson(const std::vector<KernelBenchRecord>& records);
+// Adds the rows for one serve::AdmissionService run: "decisions_per_sec"
+// (`decisions` by all readers over `decide_seconds`),
+// "ingest_events_per_sec" (writer drain rate over `ingest_seconds`),
+// "epoch_publish_stall_us" (mean snapshot cut, the only time ingest
+// pauses), "detect_seconds" (last off-path detection), "p50_ns" / "p95_ns"
+// / "p99_ns" (reader decision latency) and the events, decisions and
+// epochs counts.
+void AddAdmissionRows(std::vector<BenchRecord>& out, const std::string& bench,
+                      const std::map<std::string, std::string>& labels,
+                      const serve::AdmissionStats& stats,
+                      std::uint64_t decisions, double decide_seconds,
+                      double ingest_seconds,
+                      const util::LatencyHistogram& latency);
 
-// One temporal early-detection sample (study/early_detection.h): a whole
-// adaptive-adversary run reduced to its headline time-axis metrics,
-// appended to the same BENCH_maar.json array (distinguished by the
-// "metric" key: "time_to_detection" or "harm_before_detection").
-struct TemporalBenchRecord {
-  std::string bench;       // emitting binary, e.g. "bench_fig19"
-  std::string metric;      // "time_to_detection" / "harm_before_detection"
-  std::string adversary;   // sim::AdversaryName of the campaign
-  std::int64_t users = 0;       // legit users
-  std::int64_t spammers = 0;    // spam-sending fakes
-  std::int64_t requests = 0;    // spam requests emitted over the run
-  double mean = 0.0;            // mean TTD (detected) / mean harm (all)
-  std::int64_t detected = 0;    // spammers flagged at least once
-  std::int64_t undetected = 0;  // spammers never flagged
-  double final_precision = 0.0;  // last epoch's detection quality
-  double final_recall = 0.0;
-  double recall_at_5 = 0.0;   // sub-epoch checkpoint recall (serving tier)
-  double recall_at_10 = 0.0;
-  double recall_at_20 = 0.0;
-  double recall_at_50 = 0.0;
-};
-
-void AppendTemporalBenchJson(const std::vector<TemporalBenchRecord>& records);
-
-// One detection round's wire-level transport counters (engine
-// DistDetectionResult::per_round over a simnet/socket cluster), appended to
-// the same BENCH_maar.json array (distinguished by the "transport" key).
-// Each detection round pushes a fresh store generation to every worker and
-// pulls the sweep's adjacency through it, so per-round records expose how
-// traffic decays as rounds prune the residual graph.
-struct TransportBenchRecord {
-  std::string bench;      // emitting binary, e.g. "bench_table2_scaling"
-  std::string transport;  // net::TransportKindName: "simnet" / "socket"
-  std::int64_t users = 0;
-  std::int64_t round = 0;  // detection round (= store generation), 0-based
-  std::int64_t frames_sent = 0;
-  std::int64_t frames_received = 0;
-  std::int64_t bytes_sent = 0;
-  std::int64_t bytes_received = 0;
-  std::int64_t retries = 0;    // engine-level RPC attempts repeated
-  std::int64_t timeouts = 0;
-  std::int64_t reconnects = 0;
-  std::int64_t failovers = 0;  // shards rebuilt from lineage
-  double busy_us = 0.0;        // time inside Transport::Call (virtual for
-                               // simnet, wall-clock for socket)
-};
-
-void AppendTransportBenchJson(const std::vector<TransportBenchRecord>& records);
-
-// One serving-tier mixed-load sample from bench_admission (serve/): a whole
-// AdmissionService run — ingest pressure + N reader threads deciding
-// continuously — reduced to its headline throughput and tail-latency
-// numbers, appended to the same BENCH_maar.json array (distinguished by the
-// "admission" key, which names the measured configuration, e.g.
-// "admission_hazard_r4"). The bench aborts before appending anything if its
-// divergence guard finds one concurrent decision the serial oracle does not
-// reproduce.
-struct AdmissionBenchRecord {
-  std::string bench;      // emitting binary, e.g. "bench_admission"
-  std::string admission;  // "admission_<reclaim>_r<readers>"
-  std::string reclaim;    // serve::ReclaimModeName: "hazard" / "shared_ptr"
-  int readers = 0;
-  std::int64_t users = 0;
-  std::int64_t events = 0;             // ingest events applied over the run
-  std::int64_t decisions = 0;          // admit/grey/reject verdicts issued
-  std::int64_t epochs = 0;             // detection epochs published
-  double decisions_per_sec = 0.0;      // all readers combined
-  double ingest_events_per_sec = 0.0;  // writer-thread drain rate
-  double epoch_publish_stall_seconds = 0.0;  // max snapshot cut (writer stall)
-  double detect_seconds = 0.0;               // mean off-path detection time
-  std::int64_t p50_ns = 0;  // merged reader decision latency quantiles
-  std::int64_t p95_ns = 0;
-  std::int64_t p99_ns = 0;
-};
-
-void AppendAdmissionBenchJson(const std::vector<AdmissionBenchRecord>& records);
-
-// Process peak resident set (VmHWM) and current resident set (VmRSS) from
-// /proc/self/status, in bytes; 0 where the kernel does not expose them.
-std::uint64_t PeakRssBytes();
-std::uint64_t CurrentRssBytes();
+// Times one switch-sequence run of the fused KL kernel
+// (Partition::SwitchFused) on `g` from the `init` mask; returns the final
+// objective so callers can cross-check runs on relaid-out copies.
+double RunSwitchSequence(const graph::AugmentedGraph& g,
+                         const std::vector<char>& init,
+                         const std::vector<graph::NodeId>& seq, double k,
+                         double* seconds_out);
 
 // Runs MaarSolver::Solve over `threads_list` on the scenario graph with the
 // given config, asserts the cuts are bit-identical to the threads=1 run
-// (aborting the bench otherwise), appends one record per thread count under
-// `bench_name`, and prints a short speedup summary to stdout.
+// (aborting the bench otherwise), appends "seconds" and "kl_runs" rows per
+// thread count under `bench_name`, and prints a short speedup summary to
+// stdout.
 void RunMaarSpeedupProbe(const std::string& bench_name,
                          const graph::AugmentedGraph& g,
                          detect::MaarConfig config,
@@ -216,18 +168,15 @@ void RunMaarSpeedupProbe(const std::string& bench_name,
 // deterministically SHUFFLED copy of g (simulating the arbitrary id order
 // a text intern produces — the layout subsystem's motivating baseline) and
 // on its BFS relayout, with a bit-equal final-objective divergence guard.
-// Appends "layout_identity" and "layout_bfs" kernel records; layout_bfs's
-// speedup is shuffled-seconds / bfs-seconds.
+// Appends "layout_identity" and "layout_bfs" kernel rows.
 void RunLayoutKernelProbe(const std::string& bench_name,
                           const graph::AugmentedGraph& g, bool fast);
 
 // Cold-start probe for graph/snapshot.h: round-trips g through text edge
-// lists and a binary snapshot in a scratch directory, then times three
-// loaders — the retired istringstream text parser (kept here as the
-// baseline, like the other *_old kernels), graph::LoadAugmentedGraph with
-// the string_view scanner, and graph::LoadSnapshot. Appends
-// "text_load_old", "text_load" (speedup vs old), and "snapshot_load"
-// (speedup vs text_load) records; aborts on any loader disagreement.
+// lists and a binary snapshot in a scratch directory, then times
+// graph::LoadAugmentedGraph and graph::LoadSnapshot. Appends "text_load"
+// and "snapshot_load" kernel rows; aborts unless the snapshot reproduces g
+// and the text load has g's shape.
 void RunSnapshotLoadProbe(const std::string& bench_name,
                           const graph::AugmentedGraph& g, bool fast);
 
@@ -241,8 +190,8 @@ void RunSnapshotLoadProbe(const std::string& bench_name,
 //     scenario's scattered rejection edges are the format's worst case);
 //   "detect_compressed" / "detect_ram" — the full iterative pipeline over
 //     the mmap view vs in RAM, aborting unless detected sets, rounds and
-//     cuts are bit-identical; the compressed record carries peak_rss and
-//     mapped bytes.
+//     cuts are bit-identical; detect_compressed also reports peak_rss_bytes
+//     and mapped_bytes rows.
 void RunCompressedSnapshotProbe(const std::string& bench_name,
                                 const graph::AugmentedGraph& g, bool fast);
 
@@ -253,8 +202,8 @@ void RunCompressedSnapshotProbe(const std::string& bench_name,
 // more than REJECTO_RSS_BUDGET_MB (default 600) over the pre-open baseline,
 // or if the compressed adjacency exceeds 0.5x the equivalent RJSNAP01
 // adjacency bytes (the acceptance bar, measured on the BFS-locality graph
-// the format targets). Appends a "compressed_scan_100m" record with the
-// measured peak.
+// the format targets). Appends "compressed_scan_100m" kernel rows plus
+// the measured peak.
 void RunCompressedCeilingProbe(const std::string& bench_name);
 
 }  // namespace rejecto::bench

@@ -19,17 +19,6 @@ AdmissionConfig ApplyEnvOverrides(AdmissionConfig config) {
   config.epoch.events_per_epoch = static_cast<std::uint64_t>(util::GetEnvInt(
       "REJECTO_SERVE_EPOCH_EVENTS",
       static_cast<std::int64_t>(config.epoch.events_per_epoch)));
-  if (const auto mode = util::GetEnvString("REJECTO_SERVE_RECLAIM")) {
-    if (*mode == "hazard") {
-      config.reclaim = ReclaimMode::kHazard;
-    } else if (*mode == "shared_ptr") {
-      config.reclaim = ReclaimMode::kSharedPtr;
-    } else {
-      throw std::invalid_argument(
-          "REJECTO_SERVE_RECLAIM must be 'hazard' or 'shared_ptr', got '" +
-          *mode + "'");
-    }
-  }
   return config;
 }
 
@@ -39,7 +28,7 @@ AdmissionService::AdmissionService(graph::AugmentedGraph base,
     : config_(std::move(config)),
       seeds_(std::move(seeds)),
       queue_(config_.queue_capacity),
-      rcu_(config_.reclaim, config_.max_readers),
+      rcu_(config_.max_readers),
       delta_(std::move(base), config_.epoch.delta) {
   seeds_.Validate(delta_.NumNodes());
   if (config_.max_pending_epochs == 0) {
@@ -258,13 +247,11 @@ AdmissionService::Reader AdmissionService::CreateReader() {
   chain_frozen_.store(true, std::memory_order_release);
   Reader r;
   r.service_ = this;
-  if (config_.reclaim == ReclaimMode::kHazard) {
-    r.slot_ = rcu_.AcquireSlot();
-    if (r.slot_ == nullptr) {
-      throw std::runtime_error(
-          "AdmissionService::CreateReader: reader slots exhausted (raise "
-          "AdmissionConfig::max_readers / REJECTO_SERVE_READERS)");
-    }
+  r.slot_ = rcu_.AcquireSlot();
+  if (r.slot_ == nullptr) {
+    throw std::runtime_error(
+        "AdmissionService::CreateReader: reader slots exhausted (raise "
+        "AdmissionConfig::max_readers / REJECTO_SERVE_READERS)");
   }
   return r;
 }

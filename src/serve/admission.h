@@ -30,8 +30,8 @@
 //   prev_k_ — so epoch contents are bit-identical to a serial EpochDetector
 //   replay of the same event sequence, which is what the differential test
 //   pins. Each result is frozen into an immutable refcounted PublishedEpoch
-//   and swapped in through RcuPtr (hazard-pointer or atomic<shared_ptr>
-//   reclamation — see serve/rcu.h; the bench measures both).
+//   and swapped in through RcuPtr (hazard-pointer reclamation — see
+//   serve/rcu.h).
 // * READERS never lock: one acquire-load (plus the hazard handshake) pins
 //   the current epoch, the O(deg) incremental score runs against its
 //   immutable mask, and the pluggable policy chain (serve/policy.h) may
@@ -45,7 +45,6 @@
 // Env knobs (applied by ApplyEnvOverrides, used by bench/examples):
 //   REJECTO_SERVE_READERS       -> AdmissionConfig::max_readers
 //   REJECTO_SERVE_EPOCH_EVENTS  -> AdmissionConfig::epoch.events_per_epoch
-//   REJECTO_SERVE_RECLAIM       -> "hazard" | "shared_ptr"
 #pragma once
 
 #include <atomic>
@@ -79,9 +78,7 @@ struct AdmissionConfig {
   // disables auto-epochs; ForceEpoch() still works).
   engine::EpochConfig epoch;
 
-  // Snapshot reclamation scheme (serve/rcu.h) and the reader-slot pool
-  // size (hazard mode caps concurrent readers at this).
-  ReclaimMode reclaim = ReclaimMode::kHazard;
+  // Hazard-slot pool size (serve/rcu.h): caps concurrent readers.
   std::size_t max_readers = 64;
 
   // Ingest ring capacity (rounded up to a power of two) and the cap on
@@ -190,7 +187,7 @@ class AdmissionService {
   };
 
   // Claims a reader handle. Throws std::runtime_error when the slot pool
-  // (config.max_readers) is exhausted in hazard mode.
+  // (config.max_readers) is exhausted.
   Reader CreateReader();
 
   // Writer-side view of the current epoch (tests/operators; readers use
@@ -252,8 +249,8 @@ class AdmissionService {
   bool jobs_shutdown_ = false;
   std::atomic<std::size_t> jobs_pending_{0};
 
-  // Writer-side mirror of the latest published epoch for CurrentEpoch()
-  // (RcuPtr::Current is writer-thread-only in hazard mode).
+  // Mirror of the latest published epoch for CurrentEpoch(), which any
+  // thread may call (RcuPtr's keepalive is writer-thread-only).
   mutable std::mutex latest_mu_;
   std::shared_ptr<const PublishedEpoch> latest_;
 

@@ -3,34 +3,26 @@
 // The admission service publishes one immutable PublishedEpoch at a time;
 // reader threads must resolve "the current epoch" on every decision without
 // taking a lock, while the writer must eventually reclaim superseded epochs
-// that no reader still holds. RcuPtr packages both halves behind one knob
-// (ReclaimMode), because the right scheme is workload-dependent and the
-// bench measures them against each other:
+// that no reader still holds. RcuPtr does both with hazard pointers:
 //
-//   kHazard — the read path is two relaxed/acquire loads plus one seq_cst
-//     store into the reader's own hazard slot (the classic hazard-pointer
-//     protocol: store the candidate, re-check the cell, retry on a lost
-//     race with a concurrent publish). Reclamation is writer-side: every
-//     publish retires the previous epoch into a keepalive list and frees
-//     any retired epoch no slot still points at. Readers never touch a
-//     shared reference count, so the read path scales with zero write
-//     sharing beyond the slot itself.
+//   The read path is two relaxed/acquire loads plus one seq_cst store into
+//   the reader's own hazard slot (the classic hazard-pointer protocol:
+//   store the candidate, re-check the cell, retry on a lost race with a
+//   concurrent publish). Reclamation is writer-side: every publish retires
+//   the previous epoch into a keepalive list and frees any retired epoch no
+//   slot still points at. Readers never touch a shared reference count, so
+//   the read path scales with zero write sharing beyond the slot itself.
 //
-//   kSharedPtr — a refcounted shared_ptr pin: acquire = copy the current
-//     shared_ptr (one refcount bump) under a one-word spinlock. This is
-//     the std::atomic<std::shared_ptr> scheme written out by hand:
-//     libstdc++ implements those atomics with an embedded lock bit anyway,
-//     but its load() path clears the lock with a relaxed store, which TSan
-//     rightly refuses to treat as a release edge — spelling the spinlock
-//     out with proper acquire/release keeps the mode sanitizer-clean.
-//     Readers serialize briefly on the pin/unpin pair; simpler, immune to
-//     slot exhaustion, and the fallback when a workload has more reader
-//     threads than hazard slots.
+// A refcounted shared_ptr pin (copy the current shared_ptr under a
+// spinlock) was measured against this scheme and removed: at 2 readers it
+// decided at 44-83% of the hazard rate with 2-4x the p99 (docs/SERVING.md
+// §3).
 //
-// Both modes give the same guarantees, pinned by the race tests: a Pin
-// keeps its epoch alive and bit-stable for the Pin's whole lifetime, no
-// matter how many publishes happen meanwhile, and a published epoch is
-// reclaimed only after every slot that could reference it has moved on.
+// Guarantees, pinned by the race tests: a Pin keeps its epoch alive and
+// bit-stable for the Pin's whole lifetime, no matter how many publishes
+// happen meanwhile, and a published epoch is reclaimed only after every
+// slot that could reference it has moved on. The slot pool is fixed, so
+// concurrent readers are capped at max_slots.
 //
 // Single writer (Publish/~RcuPtr), many readers. Readers must release
 // their Pins and Slots before the RcuPtr is destroyed.
@@ -47,12 +39,6 @@
 
 namespace rejecto::serve {
 
-enum class ReclaimMode { kHazard, kSharedPtr };
-
-inline const char* ReclaimModeName(ReclaimMode m) noexcept {
-  return m == ReclaimMode::kHazard ? "hazard" : "shared_ptr";
-}
-
 template <typename T>
 class RcuPtr {
  public:
@@ -68,8 +54,7 @@ class RcuPtr {
   class Pin {
    public:
     Pin() = default;
-    Pin(Pin&& o) noexcept
-        : raw_(o.raw_), slot_(o.slot_), keep_(std::move(o.keep_)) {
+    Pin(Pin&& o) noexcept : raw_(o.raw_), slot_(o.slot_) {
       o.raw_ = nullptr;
       o.slot_ = nullptr;
     }
@@ -78,7 +63,6 @@ class RcuPtr {
         Release();
         raw_ = o.raw_;
         slot_ = o.slot_;
-        keep_ = std::move(o.keep_);
         o.raw_ = nullptr;
         o.slot_ = nullptr;
       }
@@ -100,17 +84,14 @@ class RcuPtr {
         slot_->hazard.store(nullptr, std::memory_order_release);
         slot_ = nullptr;
       }
-      keep_.reset();
       raw_ = nullptr;
     }
 
     const T* raw_ = nullptr;
-    Slot* slot_ = nullptr;                // hazard mode
-    std::shared_ptr<const T> keep_;       // shared_ptr mode
+    Slot* slot_ = nullptr;
   };
 
-  explicit RcuPtr(ReclaimMode mode, std::size_t max_slots = 64)
-      : mode_(mode), slots_(max_slots) {}
+  explicit RcuPtr(std::size_t max_slots = 64) : slots_(max_slots) {}
 
   ~RcuPtr() {
     // Readers must be gone: a live Pin or Slot past this point is a
@@ -127,20 +108,11 @@ class RcuPtr {
   RcuPtr(const RcuPtr&) = delete;
   RcuPtr& operator=(const RcuPtr&) = delete;
 
-  ReclaimMode Mode() const noexcept { return mode_; }
-
   // Writer: swaps the published value and reclaims retired values no slot
   // still references. `next` must be non-null.
   void Publish(std::shared_ptr<const T> next) {
     if (next == nullptr) {
       throw std::invalid_argument("RcuPtr::Publish: null value");
-    }
-    if (mode_ == ReclaimMode::kSharedPtr) {
-      std::shared_ptr<const T> old;
-      SpLock();
-      old = std::exchange(current_sp_, std::move(next));
-      SpUnlock();
-      return;  // `old` may run the last release outside the lock
     }
     const T* raw = next.get();
     if (current_ != nullptr) retired_.push_back(std::move(current_));
@@ -151,17 +123,10 @@ class RcuPtr {
     Reclaim();
   }
 
-  // Reader: pins the current value through the caller's slot (unused in
-  // shared_ptr mode). Returns an empty Pin only before the first Publish.
+  // Reader: pins the current value through the caller's slot. Returns an
+  // empty Pin only before the first Publish.
   Pin Acquire(Slot* slot) {
     Pin pin;
-    if (mode_ == ReclaimMode::kSharedPtr) {
-      SpLock();
-      pin.keep_ = current_sp_;
-      SpUnlock();
-      pin.raw_ = pin.keep_.get();
-      return pin;
-    }
     REJECTO_DCHECK(slot != nullptr, "RcuPtr::Acquire: null slot");
     const T* p = current_raw_.load(std::memory_order_acquire);
     while (p != nullptr) {
@@ -202,18 +167,7 @@ class RcuPtr {
     slot->in_use.store(false, std::memory_order_release);
   }
 
-  // Writer-side view of the current value (for stats / tests).
-  std::shared_ptr<const T> Current() const {
-    if (mode_ == ReclaimMode::kSharedPtr) {
-      SpLock();
-      std::shared_ptr<const T> cur = current_sp_;
-      SpUnlock();
-      return cur;
-    }
-    return current_;
-  }
-
-  // Retired-but-unreclaimed values (hazard mode); 0 in shared_ptr mode.
+  // Retired-but-unreclaimed values.
   std::size_t RetiredCount() const noexcept { return retired_.size(); }
 
  private:
@@ -238,28 +192,12 @@ class RcuPtr {
     retired_.resize(kept);
   }
 
-  const ReclaimMode mode_;
   std::vector<Slot> slots_;
 
-  // hazard mode: the lock-free cell + writer-side keepalives.
+  // The lock-free cell + writer-side keepalives.
   std::atomic<const T*> current_raw_{nullptr};
   std::shared_ptr<const T> current_;              // writer-owned
   std::vector<std::shared_ptr<const T>> retired_;  // writer-owned
-
-  // shared_ptr mode: a one-word spinlock guarding the refcount bump. Held
-  // only for the pointer copy, never across user code or destructors.
-  void SpLock() const noexcept {
-    while (sp_lock_.test_and_set(std::memory_order_acquire)) {
-      while (sp_lock_.test(std::memory_order_relaxed)) {
-      }
-    }
-  }
-  void SpUnlock() const noexcept {
-    sp_lock_.clear(std::memory_order_release);
-  }
-
-  mutable std::atomic_flag sp_lock_ = ATOMIC_FLAG_INIT;
-  std::shared_ptr<const T> current_sp_;
 };
 
 }  // namespace rejecto::serve

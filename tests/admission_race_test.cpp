@@ -26,7 +26,6 @@ namespace rejecto {
 namespace {
 
 using serve::RcuPtr;
-using serve::ReclaimMode;
 
 // Self-checking payload: b must always read as ~a, and `alive` flags a
 // use-after-free that ASan might otherwise miss on recycled memory.
@@ -38,10 +37,8 @@ struct Canary {
   std::uint64_t alive = 0xC0FFEE;
 };
 
-class RcuHammerTest : public ::testing::TestWithParam<ReclaimMode> {};
-
-TEST_P(RcuHammerTest, ReadersAlwaysSeeConsistentCanaries) {
-  RcuPtr<Canary> rcu(GetParam(), /*max_slots=*/8);
+TEST(RcuHammerTest, ReadersAlwaysSeeConsistentCanaries) {
+  RcuPtr<Canary> rcu(/*max_slots=*/8);
   rcu.Publish(std::make_shared<const Canary>(0));
 
   constexpr int kReaders = 4;
@@ -51,9 +48,8 @@ TEST_P(RcuHammerTest, ReadersAlwaysSeeConsistentCanaries) {
   std::vector<std::thread> readers;
   for (int r = 0; r < kReaders; ++r) {
     readers.emplace_back([&rcu, &stop, &torn] {
-      RcuPtr<Canary>::Slot* slot =
-          rcu.Mode() == ReclaimMode::kHazard ? rcu.AcquireSlot() : nullptr;
-      if (rcu.Mode() == ReclaimMode::kHazard && slot == nullptr) {
+      RcuPtr<Canary>::Slot* slot = rcu.AcquireSlot();
+      if (slot == nullptr) {
         torn.fetch_add(1, std::memory_order_relaxed);
         return;
       }
@@ -84,15 +80,11 @@ TEST_P(RcuHammerTest, ReadersAlwaysSeeConsistentCanaries) {
   EXPECT_LE(rcu.RetiredCount(), 1u);
 }
 
-INSTANTIATE_TEST_SUITE_P(Modes, RcuHammerTest,
-                         ::testing::Values(ReclaimMode::kHazard,
-                                           ReclaimMode::kSharedPtr));
-
 // Deterministic single-thread property: a Pin taken before two publishes
 // still reads the old value afterwards, and the old value is reclaimed
 // only once the Pin is gone.
 TEST(RcuPtr, PinSurvivesTwoPublishesThenReclaims) {
-  RcuPtr<Canary> rcu(ReclaimMode::kHazard, 4);
+  RcuPtr<Canary> rcu(4);
   rcu.Publish(std::make_shared<const Canary>(10));
   RcuPtr<Canary>::Slot* slot = rcu.AcquireSlot();
   ASSERT_NE(slot, nullptr);
@@ -122,7 +114,7 @@ TEST(RcuPtr, PinSurvivesTwoPublishesThenReclaims) {
 }
 
 TEST(RcuPtr, SlotPoolExhaustsAndRecycles) {
-  RcuPtr<Canary> rcu(ReclaimMode::kHazard, 2);
+  RcuPtr<Canary> rcu(2);
   auto* s0 = rcu.AcquireSlot();
   auto* s1 = rcu.AcquireSlot();
   ASSERT_NE(s0, nullptr);
@@ -156,7 +148,6 @@ TEST(AdmissionServiceRace, ReadersSurviveRapidEpochTurnover) {
   cfg.epoch.detect.maar.seed = 23;
   cfg.epoch.detect.maar.num_threads = 1;
   cfg.epoch.events_per_epoch = 64;  // rapid turnover
-  cfg.reclaim = ReclaimMode::kHazard;
   serve::AdmissionService svc(
       graph::GraphBuilder(log.NumNodes()).BuildAugmented(), seeds, cfg);
 

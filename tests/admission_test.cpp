@@ -36,7 +36,6 @@ using serve::AdmissionConfig;
 using serve::AdmissionService;
 using serve::Decision;
 using serve::PublishedEpoch;
-using serve::ReclaimMode;
 using serve::Verdict;
 using stream::MutationLog;
 
@@ -208,16 +207,10 @@ struct RecordedDecision {
   Decision decision;
 };
 
-struct DifferentialCase {
-  int readers = 1;
-  ReclaimMode reclaim = ReclaimMode::kHazard;
-};
-
-class AdmissionDifferentialTest
-    : public ::testing::TestWithParam<DifferentialCase> {};
+class AdmissionDifferentialTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(AdmissionDifferentialTest, ConcurrentDecisionsMatchSerialOracle) {
-  const DifferentialCase c = GetParam();
+  const int num_readers = GetParam();
   const Workload w = MakeWorkload(1);
   const engine::EpochConfig ecfg = ServiceEpochConfig(w);
   const std::vector<PublishedEpoch> oracle = BuildOracle(w, ecfg);
@@ -225,15 +218,14 @@ TEST_P(AdmissionDifferentialTest, ConcurrentDecisionsMatchSerialOracle) {
 
   AdmissionConfig cfg;
   cfg.epoch = ecfg;
-  cfg.reclaim = c.reclaim;
   cfg.grey_margin = kGreyMargin;
   AdmissionService svc(
       graph::GraphBuilder(w.log.NumNodes()).BuildAugmented(), w.seeds, cfg);
 
   std::atomic<bool> stop{false};
-  std::vector<std::vector<RecordedDecision>> recorded(c.readers);
+  std::vector<std::vector<RecordedDecision>> recorded(num_readers);
   std::vector<std::thread> readers;
-  for (int r = 0; r < c.readers; ++r) {
+  for (int r = 0; r < num_readers; ++r) {
     AdmissionService::Reader reader = svc.CreateReader();
     readers.emplace_back(
         [&stop, &recorded, r, n = w.log.NumNodes(),
@@ -294,9 +286,7 @@ TEST_P(AdmissionDifferentialTest, ConcurrentDecisionsMatchSerialOracle) {
 
 INSTANTIATE_TEST_SUITE_P(
     ReaderWidths, AdmissionDifferentialTest,
-    ::testing::Values(DifferentialCase{1, ReclaimMode::kHazard},
-                      DifferentialCase{2, ReclaimMode::kSharedPtr},
-                      DifferentialCase{8, ReclaimMode::kHazard}));
+    ::testing::Values(1, 2, 8));
 
 // With warm starts off and a single forced epoch, the published detection
 // must be EXACTLY the batch pipeline's on the final graph.

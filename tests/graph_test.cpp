@@ -456,6 +456,44 @@ TEST(SubgraphTest, RejectionMirrorStaysConsistentUnderCompaction) {
   }
 }
 
+// Checks a compaction against the definition itself rather than a second
+// implementation: kept nodes in id order, and exactly the internal edges
+// and arcs, remapped.
+void ExpectInducedByDefinition(const AugmentedGraph& g,
+                               const std::vector<char>& keep,
+                               const CompactedGraph& c) {
+  std::vector<NodeId> new_id(g.NumNodes(), kInvalidNode);
+  std::vector<NodeId> kept;
+  for (NodeId u = 0; u < g.NumNodes(); ++u) {
+    if (keep[u]) {
+      new_id[u] = static_cast<NodeId>(kept.size());
+      kept.push_back(u);
+    }
+  }
+  ASSERT_EQ(c.parent_id, kept);
+  ASSERT_EQ(c.graph.NumNodes(), kept.size());
+  EdgeId internal_edges = 0;
+  std::size_t internal_arcs = 0;
+  for (NodeId u : kept) {
+    for (NodeId v : g.Friendships().Neighbors(u)) {
+      if (u < v && keep[v]) {
+        ++internal_edges;
+        ASSERT_TRUE(c.graph.Friendships().HasEdge(new_id[u], new_id[v]))
+            << "edge " << u << "-" << v;
+      }
+    }
+    for (NodeId v : g.Rejections().Rejectees(u)) {
+      if (!keep[v]) continue;
+      ++internal_arcs;
+      const auto row = c.graph.Rejections().Rejectees(new_id[u]);
+      ASSERT_TRUE(std::binary_search(row.begin(), row.end(), new_id[v]))
+          << "arc " << u << "->" << v;
+    }
+  }
+  EXPECT_EQ(c.graph.Friendships().NumEdges(), internal_edges);
+  EXPECT_EQ(c.graph.Rejections().NumArcs(), internal_arcs);
+}
+
 TEST(SubgraphTest, PoolParityOnRandomMasks) {
   util::Rng rng(123);
   const AugmentedGraph g = RandomAugmentedForSubgraph(120, 500, 400, rng);
@@ -467,6 +505,33 @@ TEST(SubgraphTest, PoolParityOnRandomMasks) {
     const CompactedGraph parallel = InducedSubgraph(g, keep, &pool);
     ExpectSameCompaction(serial, parallel);
   }
+
+  // The compaction a MAAR round performs at scenario scale: ~10K nodes, a
+  // 30% prune, and rejection arcs that overlap friendship pairs (every
+  // fourth friendship also carries a rejection).
+  constexpr NodeId kNodes = 10'000;
+  GraphBuilder b(kNodes);
+  for (EdgeId e = 0; e < 50'000; ++e) {
+    const auto u = static_cast<NodeId>(rng.NextUInt(kNodes));
+    auto v = static_cast<NodeId>(rng.NextUInt(kNodes));
+    if (u == v) v = (v + 1) % kNodes;
+    b.AddFriendship(u, v);
+    if (e % 4 == 0) b.AddRejection(v, u);
+  }
+  for (int i = 0; i < 10'000; ++i) {
+    const auto u = static_cast<NodeId>(rng.NextUInt(kNodes));
+    auto v = static_cast<NodeId>(rng.NextUInt(kNodes));
+    if (u == v) v = (v + 1) % kNodes;
+    b.AddRejection(u, v);
+  }
+  const AugmentedGraph large = b.BuildAugmented();
+  std::vector<char> keep(kNodes, 1);
+  for (auto& c : keep) c = rng.NextBool(0.3) ? 0 : 1;
+  const CompactedGraph serial = InducedSubgraph(large, keep, nullptr);
+  const CompactedGraph parallel = InducedSubgraph(large, keep, &pool);
+  ExpectInducedByDefinition(large, keep, serial);
+  ExpectInducedByDefinition(large, keep, parallel);
+  ExpectSameCompaction(serial, parallel);
 }
 
 }  // namespace
